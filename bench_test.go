@@ -377,6 +377,7 @@ func BenchmarkDecompressFrameDiff(b *testing.B) { benchCodec(b, "framediff") }
 func benchCore(b *testing.B, f *algos.Function, n int) {
 	in := benchInput(n)
 	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.Exec(in); err != nil {
@@ -387,6 +388,8 @@ func benchCore(b *testing.B, f *algos.Function, n int) {
 
 func BenchmarkCoreAES(b *testing.B)     { benchCore(b, algos.AES128(), 4096) }
 func BenchmarkCoreDES(b *testing.B)     { benchCore(b, algos.DES(), 4096) }
+func BenchmarkCoreTDES(b *testing.B)    { benchCore(b, algos.TDES(), 4096) }
+func BenchmarkCoreGFMul(b *testing.B)   { benchCore(b, algos.GFMul(), 4096) }
 func BenchmarkCoreSHA256(b *testing.B)  { benchCore(b, algos.SHA256(), 4096) }
 func BenchmarkCoreFFT(b *testing.B)     { benchCore(b, algos.FFT(), 4096) }
 func BenchmarkCoreBitonic(b *testing.B) { benchCore(b, algos.Bitonic(), 4096) }

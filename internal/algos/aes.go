@@ -1,6 +1,10 @@
 package algos
 
-import "sync"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 // AES-128 ECB encryption, implemented from first principles (the S-box is
 // derived from the GF(2⁸) inverse plus affine transform at init time
@@ -13,9 +17,14 @@ import "sync"
 var aesKey = [16]byte{'A', 'G', 'I', 'L', 'E', '-', 'A', 'E', 'S', '-', 'K', 'E', 'Y', '-', '1', '6'}
 
 var (
-	aesOnce   sync.Once
-	aesSbox   [256]byte
-	aesRoundK [11][16]byte
+	aesOnce sync.Once
+	aesSbox [256]byte
+	// aesRK holds the 11 round keys as 44 big-endian column words.
+	aesRK [44]uint32
+	// aesTe[k][x] is the MixColumns output for a column holding s = S(x)
+	// in row k and zero elsewhere, so one lookup per state byte does
+	// SubBytes and MixColumns at once. aesTe[0][x] is (2s, s, s, 3s).
+	aesTe [4][256]uint32
 )
 
 // gfMulByte multiplies two GF(2⁸) elements modulo the AES polynomial.
@@ -71,51 +80,50 @@ func aesInit() {
 			w[i][j] = w[i-4][j] ^ t[j]
 		}
 	}
-	for r := 0; r < 11; r++ {
-		for c := 0; c < 4; c++ {
-			copy(aesRoundK[r][4*c:], w[4*r+c][:])
+	for i := range aesRK {
+		aesRK[i] = binary.BigEndian.Uint32(w[i][:])
+	}
+	// Round tables, derived from the S-box and the field multiply.
+	for x := 0; x < 256; x++ {
+		s := aesSbox[x]
+		t := uint32(gfMulByte(s, 2))<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(gfMulByte(s, 3))
+		for k := range aesTe {
+			aesTe[k][x] = bits.RotateLeft32(t, -8*k)
 		}
 	}
 }
 
 func rotl8(x byte, n uint) byte { return x<<n | x>>(8-n) }
 
+// aesEncryptBlock encrypts one 16-byte block. The state is four
+// big-endian column words; each of the nine full rounds is sixteen
+// table lookups (SubBytes, ShiftRows and MixColumns fused) plus the
+// round key, and the last round, which has no MixColumns, uses the
+// S-box directly.
 func aesEncryptBlock(dst, src []byte) {
-	var s [16]byte
-	copy(s[:], src)
-	xorKey := func(r int) {
-		for i := range s {
-			s[i] ^= aesRoundK[r][i]
-		}
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ aesRK[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ aesRK[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ aesRK[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ aesRK[3]
+	te0, te1, te2, te3 := &aesTe[0], &aesTe[1], &aesTe[2], &aesTe[3]
+	for k := 4; k < 40; k += 4 {
+		t0 := te0[s0>>24] ^ te1[s1>>16&0xFF] ^ te2[s2>>8&0xFF] ^ te3[s3&0xFF] ^ aesRK[k]
+		t1 := te0[s1>>24] ^ te1[s2>>16&0xFF] ^ te2[s3>>8&0xFF] ^ te3[s0&0xFF] ^ aesRK[k+1]
+		t2 := te0[s2>>24] ^ te1[s3>>16&0xFF] ^ te2[s0>>8&0xFF] ^ te3[s1&0xFF] ^ aesRK[k+2]
+		t3 := te0[s3>>24] ^ te1[s0>>16&0xFF] ^ te2[s1>>8&0xFF] ^ te3[s2&0xFF] ^ aesRK[k+3]
+		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	subShift := func() {
-		// SubBytes + ShiftRows fused; state is column-major.
-		var t [16]byte
-		for c := 0; c < 4; c++ {
-			for r := 0; r < 4; r++ {
-				t[4*c+r] = aesSbox[s[4*((c+r)%4)+r]]
-			}
-		}
-		s = t
-	}
-	mix := func() {
-		for c := 0; c < 4; c++ {
-			a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-			s[4*c] = gfMulByte(a0, 2) ^ gfMulByte(a1, 3) ^ a2 ^ a3
-			s[4*c+1] = a0 ^ gfMulByte(a1, 2) ^ gfMulByte(a2, 3) ^ a3
-			s[4*c+2] = a0 ^ a1 ^ gfMulByte(a2, 2) ^ gfMulByte(a3, 3)
-			s[4*c+3] = gfMulByte(a0, 3) ^ a1 ^ a2 ^ gfMulByte(a3, 2)
-		}
-	}
-	xorKey(0)
-	for r := 1; r <= 9; r++ {
-		subShift()
-		mix()
-		xorKey(r)
-	}
-	subShift()
-	xorKey(10)
-	copy(dst, s[:])
+	binary.BigEndian.PutUint32(dst[0:4], aesLast(s0, s1, s2, s3)^aesRK[40])
+	binary.BigEndian.PutUint32(dst[4:8], aesLast(s1, s2, s3, s0)^aesRK[41])
+	binary.BigEndian.PutUint32(dst[8:12], aesLast(s2, s3, s0, s1)^aesRK[42])
+	binary.BigEndian.PutUint32(dst[12:16], aesLast(s3, s0, s1, s2)^aesRK[43])
+}
+
+// aesLast is one output column of the final round: SubBytes over the
+// ShiftRows diagonal that starts in column a.
+func aesLast(a, b, c, d uint32) uint32 {
+	return uint32(aesSbox[a>>24])<<24 | uint32(aesSbox[b>>16&0xFF])<<16 |
+		uint32(aesSbox[c>>8&0xFF])<<8 | uint32(aesSbox[d&0xFF])
 }
 
 var aesFn = &Function{

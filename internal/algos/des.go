@@ -1,6 +1,10 @@
 package algos
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 // DES ECB encryption from the FIPS-46 tables, with a fixed key baked into
 // the core's bitstream (see the aes128 comment). DES remains the classic
@@ -24,7 +28,8 @@ var desFP = [64]byte{
 	34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9, 49, 17, 57, 25,
 }
 
-// Expansion of the 32-bit half to 48 bits.
+// Expansion of the 32-bit half to 48 bits. desRounds applies it as
+// rotations of the half; the tests check those against this table.
 var desE = [48]byte{
 	32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9,
 	8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
@@ -104,17 +109,65 @@ func permute(src uint64, srcBits uint, table []byte) uint64 {
 
 var desSubkeys = desKeySchedule(binary.BigEndian.Uint64(desKey[:]))
 
-// desFeistel is the round function f(R, K).
-func desFeistel(r uint32, k uint64) uint32 {
-	x := permute(uint64(r), 32, desE[:]) ^ k // 48 bits
-	var s uint32
-	for i := 0; i < 8; i++ {
-		six := byte(x>>(42-6*uint(i))) & 0x3F
-		row := (six&0x20)>>4 | six&1
-		col := (six >> 1) & 0x0F
-		s = s<<4 | uint32(desS[i][row*16+col])
+var (
+	desOnce sync.Once
+	// desSP[i][six] is S-box i applied to the six bits it sees (row from
+	// the outer bits, column from the inner four), moved to its output
+	// nibble and passed through P: f(R, K) is the XOR of eight lookups.
+	desSP [8][64]uint32
+	// desIPT[j][b] and desFPT[j][b] are IP and FP applied to a block whose
+	// only non-zero byte, byte j from the most significant, is b.
+	desIPT, desFPT [8][256]uint64
+)
+
+// desInit derives the round and permutation tables from the FIPS-46
+// tables above.
+func desInit() {
+	for i := range desSP {
+		for six := 0; six < 64; six++ {
+			row := (six&0x20)>>4 | six&1
+			col := (six >> 1) & 0x0F
+			nib := uint64(desS[i][row*16+col]) << (28 - 4*uint(i))
+			desSP[i][six] = uint32(permute(nib, 32, desP[:]))
+		}
 	}
-	return uint32(permute(uint64(s), 32, desP[:]))
+	for j := 0; j < 8; j++ {
+		for b := 0; b < 256; b++ {
+			v := uint64(b) << (56 - 8*uint(j))
+			desIPT[j][b] = permute(v, 64, desIP[:])
+			desFPT[j][b] = permute(v, 64, desFP[:])
+		}
+	}
+}
+
+// desPermute applies a per-byte permutation table to a 64-bit block.
+func desPermute(t *[8][256]uint64, v uint64) uint64 {
+	return t[0][v>>56] ^ t[1][v>>48&0xFF] ^ t[2][v>>40&0xFF] ^ t[3][v>>32&0xFF] ^
+		t[4][v>>24&0xFF] ^ t[5][v>>16&0xFF] ^ t[6][v>>8&0xFF] ^ t[7][v&0xFF]
+}
+
+// desRounds runs the 16 Feistel rounds with the given schedule; decrypt
+// reverses the subkey order. E needs no table: the i-th six-bit group of
+// E(R) is R rotated left by 4i+5 (mod 32), masked to six bits.
+func desRounds(block uint64, sub *[16]uint64, decrypt bool) uint64 {
+	v := desPermute(&desIPT, block)
+	l, r := uint32(v>>32), uint32(v)
+	for n := 0; n < 16; n++ {
+		k := sub[n]
+		if decrypt {
+			k = sub[15-n]
+		}
+		f := desSP[0][(bits.RotateLeft32(r, 5)^uint32(k>>42))&0x3F] ^
+			desSP[1][(bits.RotateLeft32(r, 9)^uint32(k>>36))&0x3F] ^
+			desSP[2][(bits.RotateLeft32(r, 13)^uint32(k>>30))&0x3F] ^
+			desSP[3][(bits.RotateLeft32(r, 17)^uint32(k>>24))&0x3F] ^
+			desSP[4][(bits.RotateLeft32(r, 21)^uint32(k>>18))&0x3F] ^
+			desSP[5][(bits.RotateLeft32(r, 25)^uint32(k>>12))&0x3F] ^
+			desSP[6][(bits.RotateLeft32(r, 29)^uint32(k>>6))&0x3F] ^
+			desSP[7][(bits.RotateLeft32(r, 1)^uint32(k))&0x3F]
+		l, r = r, l^f
+	}
+	return desPermute(&desFPT, uint64(r)<<32|uint64(l))
 }
 
 func desEncryptBlock(dst, src []byte) {
@@ -135,6 +188,7 @@ var desFn = &Function{
 	swSetup:     300,
 	swPerByte:   60, // bit-twiddling software DES is slow on scalar hosts
 	run: func(in []byte) []byte {
+		desOnce.Do(desInit)
 		out := make([]byte, len(in))
 		for i := 0; i < len(in); i += 8 {
 			desEncryptBlock(out[i:], in[i:])

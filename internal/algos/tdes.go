@@ -38,21 +38,6 @@ func desKeySchedule(key uint64) [16]uint64 {
 	return sub
 }
 
-// desRounds runs the 16 Feistel rounds with the given schedule; decrypt
-// reverses the subkey order.
-func desRounds(block uint64, sub *[16]uint64, decrypt bool) uint64 {
-	v := permute(block, 64, desIP[:])
-	l, r := uint32(v>>32), uint32(v)
-	for i := 0; i < 16; i++ {
-		k := sub[i]
-		if decrypt {
-			k = sub[15-i]
-		}
-		l, r = r, l^desFeistel(r, k)
-	}
-	return permute(uint64(r)<<32|uint64(l), 64, desFP[:])
-}
-
 func tdesEncryptBlock(dst, src []byte) {
 	v := binary.BigEndian.Uint64(src)
 	v = desRounds(v, &tdesSubkeys[0], false) // E with K1
@@ -74,6 +59,7 @@ var tdesFn = &Function{
 	swSetup:     400,
 	swPerByte:   170, // three DES passes plus gluing
 	run: func(in []byte) []byte {
+		desOnce.Do(desInit)
 		out := make([]byte, len(in))
 		for i := 0; i < len(in); i += 8 {
 			tdesEncryptBlock(out[i:], in[i:])
