@@ -34,7 +34,6 @@ import (
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/metrics"
-	"agilefpga/internal/sim"
 )
 
 // Config selects the card's build options. The zero value is a sensible
@@ -243,17 +242,11 @@ func (cp *CoProcessor) InstallAll() error {
 
 // resultOf converts a core call result to the public form.
 func resultOf(r *core.CallResult) *Result {
-	phases := make(map[string]time.Duration, sim.NumPhases)
-	for p := 0; p < sim.NumPhases; p++ {
-		if t := r.Breakdown.Get(sim.Phase(p)); t != 0 {
-			phases[sim.Phase(p).String()] = t.Duration()
-		}
-	}
 	return &Result{
 		Output:  r.Output,
 		Latency: r.Latency.Duration(),
 		Hit:     r.Hit,
-		Phases:  phases,
+		Phases:  phasesOf(r.Breakdown),
 	}
 }
 
@@ -271,17 +264,7 @@ func (cp *CoProcessor) Call(name string, input []byte) (*Result, error) {
 // the card computes the current one. Outputs and card state match
 // issuing the calls one by one; only the latency model differs.
 func (cp *CoProcessor) CallBatch(name string, inputs [][]byte) (*BatchResult, error) {
-	r, err := cp.inner.CallBatch(name, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{
-		Outputs:           r.Outputs,
-		Latency:           r.Latency.Duration(),
-		SequentialLatency: r.SequentialLatency.Duration(),
-		OverlapSaved:      r.OverlapSaved.Duration(),
-		Hits:              r.Hits,
-	}, nil
+	return cp.CallChainBatch([]string{name}, inputs)
 }
 
 // RunHost executes the same function in host software (the offload

@@ -302,9 +302,64 @@ func BenchmarkHotCall(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cp.CallID(algos.IDAES128, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotChain is a warm two-stage chain (sha256→aes128) over a
+// 4 KiB input: one request, the intermediate handed through card RAM.
+func BenchmarkHotChain(b *testing.B) {
+	cp, err := core.New(core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []*algos.Function{algos.SHA256(), algos.AES128()} {
+		if _, err := cp.Install(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fns := []uint16{algos.IDSHA256, algos.IDAES128}
+	in := benchInput(4096)
+	if _, err := cp.CallChainID(fns, in); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.CallChainID(fns, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotBatch8 is a warm one-stage batch: aes128 over 8 × 4 KiB
+// inputs in one pipelined request.
+func BenchmarkHotBatch8(b *testing.B) {
+	cp, err := core.New(core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cp.Install(algos.AES128()); err != nil {
+		b.Fatal(err)
+	}
+	req := core.Request{Stages: []uint16{algos.IDAES128}, Inputs: make([][]byte, 8)}
+	for i := range req.Inputs {
+		req.Inputs[i] = benchInput(4096)
+	}
+	if _, err := cp.Exec(req); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(8 * 4096))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.Exec(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,8 @@ import (
 // feeding the next through the card's local RAM. The input crosses PCI
 // once on the way in and the final output once on the way out — a
 // k-stage pipeline pays 2 PCI transfers instead of 2k — and the output
-// is byte-identical to feeding the stages as separate Calls.
+// is byte-identical to feeding the stages as separate Calls. A call is
+// the one-stage case of the same request.
 
 // ChainStage reports one stage of a chained call.
 type ChainStage struct {
@@ -62,21 +63,19 @@ func functionName(id uint16) string {
 	return "unknown"
 }
 
-// chainResultOf converts a core chain result to the public form.
-func chainResultOf(r *core.ChainResult) *ChainResult {
+// chainResultOf converts a core result to the public chain form.
+func chainResultOf(r *core.CallResult) *ChainResult {
 	out := &ChainResult{
 		Output:  r.Output,
 		Latency: r.Latency.Duration(),
-		Hits:    r.Hits,
 		Phases:  phasesOf(r.Breakdown),
 		Stages:  make([]ChainStage, len(r.Stages)),
 	}
 	for i, st := range r.Stages {
-		out.Stages[i] = ChainStage{
-			Function: functionName(st.Fn),
-			Hit:      st.Hit,
-			Phases:   phasesOf(st.Breakdown),
+		if st.Hit {
+			out.Hits++
 		}
+		out.Stages[i] = ChainStage{Function: functionName(st.Fn), Hit: st.Hit, Phases: phasesOf(st.Cost)}
 	}
 	return out
 }
@@ -99,17 +98,25 @@ func (cp *CoProcessor) CallChain(names []string, input []byte) (*ChainResult, er
 // the sum of all stages. Outputs match CallChain item by item; only the
 // latency model differs.
 func (cp *CoProcessor) CallChainBatch(names []string, inputs [][]byte) (*BatchResult, error) {
-	r, err := cp.inner.CallChainBatch(names, inputs)
+	fns, err := cp.inner.Lookup(names...)
 	if err != nil {
 		return nil, err
 	}
-	return &BatchResult{
-		Outputs:           r.Outputs,
+	r, err := cp.inner.Exec(core.Request{Stages: fns, Inputs: inputs})
+	if err != nil {
+		return nil, err
+	}
+	out := &BatchResult{
+		Outputs:           make([][]byte, len(r.Results)),
 		Latency:           r.Latency.Duration(),
 		SequentialLatency: r.SequentialLatency.Duration(),
 		OverlapSaved:      r.OverlapSaved.Duration(),
 		Hits:              r.Hits,
-	}, nil
+	}
+	for i := range r.Results {
+		out.Outputs[i] = r.Results[i].Output
+	}
+	return out, nil
 }
 
 // lookupStages resolves a chain's function names to bank ids.
@@ -125,16 +132,30 @@ func lookupStages(names []string) ([]uint16, error) {
 	return fns, nil
 }
 
+// call routes the named stages synchronously through the dispatcher.
+func (cl *Cluster) call(names []string, input []byte) (*core.CallResult, int, error) {
+	fns, err := lookupStages(names)
+	if err != nil {
+		return nil, -1, err
+	}
+	return cl.inner.Call(fns, input)
+}
+
+// submit enqueues the named stages asynchronously.
+func (cl *Cluster) submit(names []string, input []byte) *Pending {
+	fns, err := lookupStages(names)
+	if err != nil {
+		return &Pending{inner: cluster.Failed(err)}
+	}
+	return &Pending{inner: cl.inner.Submit(fns, []cluster.Item{{Input: input}}, true)[0]}
+}
+
 // CallChain routes one chained call through the dispatcher as a single
 // unit — one routing decision, one card-queue slot, all stages
 // co-resident on the serving card. In affinity mode the pin is keyed on
 // the whole chain, so repeated chains land where their stages are warm.
 func (cl *Cluster) CallChain(names []string, input []byte) (*ChainResult, int, error) {
-	fns, err := lookupStages(names)
-	if err != nil {
-		return nil, -1, err
-	}
-	res, card, err := cl.inner.CallChain(fns, input)
+	res, card, err := cl.call(names, input)
 	if err != nil {
 		return nil, card, err
 	}
@@ -146,9 +167,5 @@ func (cl *Cluster) CallChain(names []string, input []byte) (*ChainResult, int, e
 // coalesced into the pipelined chain-batch path, overlapping stages
 // across items.
 func (cl *Cluster) SubmitChain(names []string, input []byte) *Pending {
-	fns, err := lookupStages(names)
-	if err != nil {
-		return &Pending{inner: cluster.Failed(err)}
-	}
-	return &Pending{inner: cl.inner.SubmitChain(fns, input)}
+	return cl.submit(names, input)
 }

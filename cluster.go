@@ -102,11 +102,7 @@ func (cl *Cluster) Mode() string { return cl.inner.Mode() }
 // Call executes the named function synchronously on whichever card the
 // dispatcher routes it to, returning the result and the card index.
 func (cl *Cluster) Call(name string, input []byte) (*Result, int, error) {
-	f, err := algos.ByName(name)
-	if err != nil {
-		return nil, -1, err
-	}
-	res, card, err := cl.inner.Call(f.ID(), input)
+	res, card, err := cl.call([]string{name}, input)
 	if err != nil {
 		return nil, card, err
 	}
@@ -118,11 +114,7 @@ func (cl *Cluster) Call(name string, input []byte) (*Result, int, error) {
 // result. Consecutive same-function jobs on one card are coalesced into
 // the pipelined batch path.
 func (cl *Cluster) Submit(name string, input []byte) *Pending {
-	f, err := algos.ByName(name)
-	if err != nil {
-		return &Pending{inner: cluster.Failed(err)}
-	}
-	return &Pending{inner: cl.inner.Submit(f.ID(), input)}
+	return cl.submit([]string{name}, input)
 }
 
 // Serve drains jobs through the async serving layer with the given

@@ -22,14 +22,15 @@
 // genuinely in parallel. Beyond the synchronous Call, the cluster runs
 // one worker goroutine per card behind a bounded submission queue;
 // Submit/Wait is the async interface and Serve drains a whole job list.
-// Workers coalesce consecutive same-function jobs into the card's
-// double-buffered CallBatch pipeline.
+// Workers coalesce consecutive jobs with the same stage list into one
+// card request, served by the card's double-buffered pipeline.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -59,8 +60,8 @@ type Options struct {
 	// Queue bounds each card's submission queue (default 32). A full
 	// queue applies backpressure: Submit blocks until the card drains.
 	Queue int
-	// Coalesce caps how many consecutive same-function jobs a card
-	// worker folds into one pipelined CallBatch (default 16).
+	// Coalesce caps how many consecutive same-stage-list jobs a card
+	// worker folds into one pipelined request (default 16).
 	Coalesce int
 }
 
@@ -85,12 +86,10 @@ type Cluster struct {
 	mu sync.Mutex
 	// rr is the round-robin cursor (replicate mode).
 	rr int
-	// affinity maps function id → pinned card (affinity mode).
-	affinity map[uint16]int
-	// chainAffinity maps a chain's stage-list key → pinned card
-	// (affinity mode): chains pin as a unit, not per stage, so repeated
-	// chains land on the card already holding every stage resident.
-	chainAffinity map[string]int
+	// pins maps a stage-list key (stagesKey) → pinned card (affinity
+	// mode). A chain pins as a unit, not per stage, so repeated chains
+	// land on the card already holding every stage resident.
+	pins map[string]int
 	// load is the pinned frame demand per card (affinity mode).
 	load []int
 
@@ -132,13 +131,12 @@ func NewWithOptions(n int, mode string, cfg core.Config, opts Options) (*Cluster
 		opts.Coalesce = DefaultCoalesce
 	}
 	cl := &Cluster{
-		mode:          mode,
-		home:          make(map[uint16]int),
-		demand:        make(map[uint16]int),
-		affinity:      make(map[uint16]int),
-		chainAffinity: make(map[string]int),
-		load:          make([]int, n),
-		opts:          opts,
+		mode:   mode,
+		home:   make(map[uint16]int),
+		demand: make(map[uint16]int),
+		pins:   make(map[string]int),
+		load:   make([]int, n),
+		opts:   opts,
 	}
 	cl.metrics = cfg.Metrics
 	for i := 0; i < n; i++ {
@@ -249,23 +247,17 @@ func (cl *Cluster) Home(fn uint16) int {
 	return h
 }
 
-// Affinity reports the card the affinity router has pinned fn to, or -1
-// if fn has not been routed yet (or the mode keeps no pins).
-func (cl *Cluster) Affinity(fn uint16) int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if c, ok := cl.affinity[fn]; ok {
-		return c
-	}
-	return -1
-}
-
 // Sentinel errors. Callers that must translate dispatcher failures into
 // another vocabulary (for example the wire status codes of
-// internal/server) match these with errors.Is.
+// internal/server) match these — and core.ErrBadInput, which fails an
+// item the card cannot stage at admission — with errors.Is.
 var (
 	// ErrUnknownFunction reports a request for a function no card carries.
 	ErrUnknownFunction = errors.New("cluster: function not provisioned on any card")
+	// ErrChainSplit reports a chain whose stages are partitioned across
+	// different home cards: a partition-mode cluster cannot run it as one
+	// on-card dataflow (the stages never co-reside).
+	ErrChainSplit = errors.New("cluster: chain stages partitioned across different cards")
 	// ErrQueueFull reports a non-blocking submission that found the routed
 	// card's bounded queue full — the overload signal admission control
 	// maps to RESOURCE_EXHAUSTED.
@@ -274,58 +266,113 @@ var (
 	ErrStopped = errors.New("cluster: dispatcher stopped")
 )
 
-// route picks the card to serve fn, applying the mode's policy.
-func (cl *Cluster) route(fn uint16) (int, error) {
-	home, ok := cl.home[fn]
-	if !ok {
-		return -1, fmt.Errorf("%w: id %d", ErrUnknownFunction, fn)
+// route picks the card to serve a stage list — one function or a whole
+// chain, which must co-reside on one card — applying the mode's policy
+// to the list as a unit.
+func (cl *Cluster) route(stages []uint16) (int, error) {
+	if len(stages) == 0 {
+		return -1, fmt.Errorf("%w: empty stage list", ErrUnknownFunction)
 	}
-	if home >= 0 { // partition: pinned at construction
+	home := -1
+	for i, fn := range stages {
+		h, ok := cl.home[fn]
+		if !ok {
+			return -1, fmt.Errorf("%w: id %d (stage %d)", ErrUnknownFunction, fn, i)
+		}
+		if h >= 0 { // partition: every stage must share one home
+			if home >= 0 && h != home {
+				return -1, fmt.Errorf("%w: stage %d on card %d, earlier stages on card %d",
+					ErrChainSplit, i, h, home)
+			}
+			home = h
+		}
+	}
+	if home >= 0 {
 		return home, nil
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.mode == ModeAffinity {
-		if card, ok := cl.affinity[fn]; ok {
-			return card, nil
-		}
-		// First sight of fn: pin it to the card with the least pinned
-		// frame demand (ties to the lowest index) — the online version
-		// of partition's greedy balance, driven by the live workload.
-		best := 0
-		for c := 1; c < len(cl.load); c++ {
-			if cl.load[c] < cl.load[best] {
-				best = c
-			}
-		}
-		cl.affinity[fn] = best
-		cl.load[best] += cl.demand[fn]
-		return best, nil
+	if cl.mode != ModeAffinity {
+		card := cl.rr
+		cl.rr = (cl.rr + 1) % len(cl.cards)
+		return card, nil
 	}
-	card := cl.rr
-	cl.rr = (cl.rr + 1) % len(cl.cards)
-	return card, nil
+	var buf [2 * mcu.MaxChainStages]byte
+	key := stagesKey(buf[:0], stages)
+	if card, ok := cl.pins[string(key)]; ok {
+		return card, nil
+	}
+	// First sight of the stage list: pin it to the card with the least
+	// pinned frame demand (ties to the lowest index) — the online
+	// version of partition's greedy balance, driven by the live
+	// workload — charging the demand of its distinct stages, which will
+	// all be resident at once.
+	best := 0
+	for c := 1; c < len(cl.load); c++ {
+		if cl.load[c] < cl.load[best] {
+			best = c
+		}
+	}
+	cl.pins[string(key)] = best
+	for i, fn := range stages {
+		if !slices.Contains(stages[:i], fn) {
+			cl.load[best] += cl.demand[fn]
+		}
+	}
+	return best, nil
 }
 
-// Call routes one request, returning the result and the card that served
-// it. Safe for concurrent use; calls routed to different cards execute
-// in parallel.
-func (cl *Cluster) Call(fnID uint16, input []byte) (*core.CallResult, int, error) {
-	card, err := cl.route(fnID)
+// stagesKey appends a stage list's pin-map key to dst.
+func stagesKey(dst []byte, stages []uint16) []byte {
+	for _, fn := range stages {
+		dst = append(dst, byte(fn>>8), byte(fn))
+	}
+	return dst
+}
+
+// Affinity reports the card the affinity router has pinned a stage
+// list to, or -1 if it has not been routed yet (or the mode keeps no
+// pins).
+func (cl *Cluster) Affinity(stages ...uint16) int {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if c, ok := cl.pins[string(stagesKey(nil, stages))]; ok {
+		return c
+	}
+	return -1
+}
+
+// Call routes one input through stages synchronously, returning the
+// result and the card that served it. Safe for concurrent use; calls
+// routed to different cards execute in parallel.
+func (cl *Cluster) Call(stages []uint16, input []byte) (*core.CallResult, int, error) {
+	card, err := cl.route(stages)
 	if err != nil {
 		return nil, -1, err
 	}
-	res, err := cl.cards[card].CallID(fnID, input)
+	res, err := cl.cards[card].CallChainID(stages, input)
 	return res, card, err
 }
 
-// Pending is an in-flight submission. Wait blocks until the card served
-// (or failed) the request.
+// Item is one input of a submission.
+type Item struct {
+	Input []byte
+	// Ctx bounds the item's life: a worker that reaches an item whose
+	// context has ended fails it with the context's error instead of
+	// spending fabric time on an answer nobody is waiting for. Nil means
+	// no deadline.
+	Ctx context.Context
+	// Ref is the caller's trace span (zero when the request is not
+	// sampled). The card worker stamps the item's wall times
+	// (TraceTimes) and tags the card-log events of its run with it.
+	Ref trace.SpanRef
+}
+
+// Pending is an in-flight submission item. Wait blocks until the card
+// served (or failed) it.
 type Pending struct {
-	fn uint16
-	// stages, when non-nil, marks this Pending as a chained submission:
-	// the stage list runs as one on-card dataflow chain (fn is stage 0,
-	// kept for metrics labels). Plain calls leave it nil.
+	// stages is the stage list the item runs through, shared by every
+	// item of its submission.
 	stages []uint16
 	input  []byte
 	ctx    context.Context
@@ -333,27 +380,22 @@ type Pending struct {
 	res    *core.CallResult
 	card   int
 	err    error
-	// group, when non-nil, marks this Pending as a carrier for a
-	// same-function group submitted together (SubmitGroup): the carrier
-	// occupies one queue slot and the worker expands it into its
-	// children, which settle individually. A carrier itself never
-	// completes.
+	// group, when non-nil, marks this Pending as the carrier of a
+	// multi-item submission: the carrier occupies one queue slot and the
+	// worker expands it into its items, which settle individually. A
+	// carrier itself never completes.
 	group []*Pending
-	// ref is the caller's trace span for this job (zero when the
-	// request is not sampled). It rides to the card worker, which tags
-	// the card-log events with it and stamps the wall times below so
-	// the caller can split queue wait from service time.
-	ref trace.SpanRef
+	ref   trace.SpanRef
 	// tSubmit/tStart/tDone are wall-clock stamps (ns): enqueue time,
-	// the moment the worker began the job's coalesced run, and run
-	// completion. Stamped only for traced jobs, always before
+	// the moment the worker began the item's coalesced run, and run
+	// completion. Stamped only for traced items, always before
 	// complete() closes done, so Wait gives the happens-before edge
 	// that makes TraceTimes race-free.
 	tSubmit, tStart, tDone int64
 }
 
-// expand returns the jobs this queue entry stands for: the group's
-// children for a carrier, the entry itself otherwise.
+// expand returns the items this queue entry stands for: the group's
+// items for a carrier, the entry itself otherwise.
 func (p *Pending) expand() []*Pending {
 	if p.group != nil {
 		return p.group
@@ -373,7 +415,7 @@ func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // TraceTimes reports the wall-clock stamps of a traced submission:
 // enqueue, service start, and service end (ns). Zero stamps mean the
-// job was not traced (or never reached that stage — a routing failure
+// item was not traced (or never reached that stage — a routing failure
 // leaves start/done zero). Valid only after Wait (or Done) returns.
 func (p *Pending) TraceTimes() (submitNS, startNS, doneNS int64) {
 	return p.tSubmit, p.tStart, p.tDone
@@ -383,15 +425,6 @@ func (p *Pending) TraceTimes() (submitNS, startNS, doneNS int64) {
 // stamps.
 func nowNS() int64 {
 	return time.Now().UnixNano() //lint:wallclock trace stamps measure real queue wait, not simulated cycles
-}
-
-// expired reports the submission's deadline error, if its context ended
-// before a worker reached it.
-func (p *Pending) expired() error {
-	if p.ctx == nil {
-		return nil
-	}
-	return p.ctx.Err()
 }
 
 func (p *Pending) complete(res *core.CallResult, card int, err error) {
@@ -408,110 +441,81 @@ func Failed(err error) *Pending {
 	return p
 }
 
-// Submit enqueues one request on its routed card's bounded queue and
-// returns immediately. Routing errors (unknown function) surface through
-// Wait, so the async API has one error path. Submit blocks only when the
-// target card's queue is full (backpressure). A Submit issued after
-// Close fails with ErrStopped.
-func (cl *Cluster) Submit(fnID uint16, input []byte) *Pending {
-	return cl.SubmitContext(context.Background(), fnID, input, true)
-}
-
-// SubmitContext is Submit with deadline plumbing and an admission
-// choice. The context travels with the job: a worker that dequeues an
-// already-expired job fails it with the context's error instead of
-// spending fabric time on an answer nobody is waiting for. When wait is
-// true a full queue blocks until space, the context ends, or the
-// cluster stops; when wait is false a full queue fails fast with
-// ErrQueueFull so callers doing admission control can shed load
-// explicitly. All failures surface through Wait.
-func (cl *Cluster) SubmitContext(ctx context.Context, fnID uint16, input []byte, wait bool) *Pending {
-	return cl.SubmitContextTraced(ctx, fnID, input, wait, trace.SpanRef{})
-}
-
-// SubmitContextTraced is SubmitContext carrying the caller's trace
-// span: the job is stamped with wall times at enqueue and around its
-// card run (TraceTimes), and the card-log events of the run are tagged
-// with the span's ids. A zero ref degrades to the untraced path.
-func (cl *Cluster) SubmitContextTraced(ctx context.Context, fnID uint16, input []byte, wait bool, ref trace.SpanRef) *Pending {
-	p := &Pending{fn: fnID, input: input, ctx: ctx, done: make(chan struct{}), card: -1, ref: ref}
-	if ref.Valid() {
-		p.tSubmit = nowNS()
+// Submit enqueues items that each run through stages — one function or
+// an on-card chain — and returns one Pending per item, in item order,
+// immediately. The items ride the routed card's bounded queue as one
+// entry: one routing decision and one queue slot, served by the card
+// worker as one coalesced run (consecutive entries with the same stage
+// list join it). This is the one entry point for single calls, chains
+// and cross-client batch windows alike.
+//
+// Each item fails alone, before routing, when its context has already
+// ended or when the card cannot stage its input (core.ErrBadInput), so
+// one bad item never fails its neighbours. When wait is true a full
+// queue blocks until space, the first admitted item's context ends, or
+// the cluster stops; when wait is false a full queue fails the entry
+// with ErrQueueFull so callers doing admission control can shed load
+// explicitly. A Submit issued after Close fails with ErrStopped. All
+// failures surface through each Pending's Wait.
+func (cl *Cluster) Submit(stages []uint16, items []Item, wait bool) []*Pending {
+	own := append([]uint16(nil), stages...) // the caller may reuse its slice
+	ps := make([]*Pending, len(items))
+	admitted := 0
+	for i, it := range items {
+		ctx := it.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		p := &Pending{stages: own, input: it.Input, ctx: ctx, done: make(chan struct{}), card: -1, ref: it.Ref}
+		if it.Ref.Valid() {
+			p.tSubmit = nowNS()
+		}
+		ps[i] = p
+		err := ctx.Err()
+		if err == nil {
+			err = cl.cards[0].CheckInput(it.Input)
+		}
+		if err != nil {
+			p.complete(nil, -1, err)
+			continue
+		}
+		admitted++
 	}
-	if err := ctx.Err(); err != nil {
-		p.complete(nil, -1, err)
-		return p
+	live := ps
+	if admitted < len(ps) {
+		live = make([]*Pending, 0, admitted)
+		for _, p := range ps {
+			if p.err == nil {
+				live = append(live, p)
+			}
+		}
 	}
-	card, err := cl.route(fnID)
+	if len(live) == 0 {
+		return ps
+	}
+	card, err := cl.route(own)
 	if err != nil {
-		p.complete(nil, -1, err)
-		return p
-	}
-	p.card = card
-	if err := cl.enqueue(ctx, card, p, wait); err != nil {
-		p.complete(nil, card, err)
-	}
-	return p
-}
-
-// SubmitGroup enqueues a group of same-function jobs as one queue
-// entry, served by the card worker as a single coalesced run (one
-// pipelined CallBatch when more than one job survives queue-time
-// expiry) — the cross-client batching entry point: the network
-// batcher collects requests from different connections and hands them
-// to the card's batch machinery in one hop, paying one queue slot and
-// one routing decision for the whole window. Each job keeps its own
-// context: a job whose deadline expires while queued is failed
-// individually, exactly as with per-job submissions (a nil ctxs entry
-// means no deadline; ctxs may be shorter than inputs). When wait is
-// false a full queue fails the whole group with ErrQueueFull; when
-// wait is true the first job's context bounds the blocking enqueue.
-// All failures surface through each child's Wait.
-func (cl *Cluster) SubmitGroup(ctxs []context.Context, fnID uint16, inputs [][]byte, wait bool) []*Pending {
-	return cl.SubmitGroupTraced(ctxs, fnID, inputs, wait, nil)
-}
-
-// SubmitGroupTraced is SubmitGroup with per-member trace spans (refs
-// may be shorter than inputs; zero entries mean untraced members). The
-// worker tags the coalesced run's card-log events with the first valid
-// member ref and stamps every traced member's TraceTimes.
-func (cl *Cluster) SubmitGroupTraced(ctxs []context.Context, fnID uint16, inputs [][]byte, wait bool, refs []trace.SpanRef) []*Pending {
-	children := make([]*Pending, len(inputs))
-	for i := range inputs {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
+		for _, p := range live {
+			p.complete(nil, -1, err)
 		}
-		children[i] = &Pending{fn: fnID, input: inputs[i], ctx: ctx, done: make(chan struct{}), card: -1}
-		if i < len(refs) && refs[i].Valid() {
-			children[i].ref = refs[i]
-			children[i].tSubmit = nowNS()
+		return ps
+	}
+	for _, p := range live {
+		p.card = card
+	}
+	entry := live[0]
+	if len(live) > 1 {
+		entry = &Pending{stages: own, card: card, group: live}
+	}
+	if err := cl.enqueue(live[0].ctx, card, entry, wait); err != nil {
+		for _, p := range live {
+			p.complete(nil, card, err)
 		}
 	}
-	if len(children) == 0 {
-		return children
-	}
-	failAll := func(card int, err error) {
-		for _, c := range children {
-			c.complete(nil, card, err)
-		}
-	}
-	card, err := cl.route(fnID)
-	if err != nil {
-		failAll(-1, err)
-		return children
-	}
-	for _, c := range children {
-		c.card = card
-	}
-	carrier := &Pending{fn: fnID, card: card, group: children}
-	if err := cl.enqueue(children[0].ctx, card, carrier, wait); err != nil {
-		failAll(card, err)
-	}
-	return children
+	return ps
 }
 
-// enqueue places one queue entry — a single job or a group carrier —
+// enqueue places one queue entry — a single item or a group carrier —
 // on card's queue, honouring the stop handshake and the wait policy.
 // A non-nil return means the entry was not enqueued and the caller
 // must complete its pendings with the error.
@@ -573,13 +577,13 @@ func (cl *Cluster) startWorkers() {
 	}
 }
 
-// worker drains one card's queue. Consecutive entries for the same
-// function coalesce into a single double-buffered CallBatch, so an
-// affinity-mode cluster turns a run of same-function submissions into
-// one resident configuration and a pipelined burst. Group carriers
-// expand into their children here: a cross-client batch window arrives
-// as one entry and joins the same coalescing machinery, so a group may
-// carry the run past the Coalesce cap (the cap bounds how many further
+// worker drains one card's queue. Consecutive entries with the same
+// stage list coalesce into a single run, so an affinity-mode cluster
+// turns a run of same-function (or same-chain) submissions into one
+// resident configuration and a pipelined burst. Group carriers expand
+// into their items here: a cross-client batch window arrives as one
+// entry and joins the same coalescing machinery, so a group may carry
+// the run past the Coalesce cap (the cap bounds how many further
 // entries are folded, not a group's own size).
 func (cl *Cluster) worker(card int) {
 	defer cl.wg.Done()
@@ -610,7 +614,7 @@ func (cl *Cluster) worker(card int) {
 					break coalesce
 				}
 				depth.Dec()
-				if next.fn == p.fn && sameStages(next.stages, p.stages) {
+				if slices.Equal(next.stages, p.stages) {
 					run = append(run, next.expand()...)
 				} else {
 					held = next
@@ -624,15 +628,18 @@ func (cl *Cluster) worker(card int) {
 	}
 }
 
-// serveRun executes a coalesced run of same-function jobs on one card.
-// Jobs whose deadline expired while queued are failed without touching
-// the card: their caller has already given up, so spending fabric time
-// on them only delays the live jobs behind them.
+// serveRun executes a coalesced run of same-stage-list items on one
+// card as one request. Items whose deadline expired while queued are
+// failed without touching the card: their caller has already given up,
+// so spending fabric time on them only delays the live items behind
+// them. The card-log events of the run are tagged with the first
+// traced member's span, by convention.
 func (cl *Cluster) serveRun(card int, run []*Pending) {
 	now := nowNS()
+	req := core.Request{Stages: run[0].stages, Inputs: make([][]byte, 0, len(run))}
 	live := run[:0]
 	for _, p := range run {
-		if err := p.expired(); err != nil {
+		if err := p.ctx.Err(); err != nil {
 			if cl.metrics != nil {
 				cl.metrics.Counter("agile_cluster_expired_total", cl.cardLabels[card]).Inc()
 			}
@@ -645,83 +652,40 @@ func (cl *Cluster) serveRun(card int, run []*Pending) {
 		}
 		if p.ref.Valid() {
 			p.tStart = now
+			if req.TraceID == 0 {
+				req.TraceID, req.SpanID = p.ref.TraceID, p.ref.SpanID
+			}
 		}
 		live = append(live, p)
+		req.Inputs = append(req.Inputs, p.input)
 	}
 	if len(live) == 0 {
 		return
 	}
-	run = live
-	// stampDone closes every traced member's service window just before
-	// completion, so queue wait (tStart−tSubmit) plus service time
-	// (tDone−tStart) tiles the job's whole dispatcher residency.
-	stampDone := func(run []*Pending) {
-		end := nowNS()
-		for _, p := range run {
-			if p.ref.Valid() {
-				p.tDone = end
-			}
-		}
-	}
-	// runRef is the span the card-log events of this coalesced run are
-	// tagged with: the first traced member's, by convention.
-	var runRef trace.SpanRef
-	for _, p := range run {
-		if p.ref.Valid() {
-			runRef = p.ref
-			break
-		}
-	}
-	cp := cl.cards[card]
 	if cl.metrics != nil {
 		busy := cl.metrics.Gauge("agile_cluster_worker_busy", cl.cardLabels[card])
 		busy.Set(1)
 		defer busy.Set(0)
-		if len(run) > 1 {
+		if len(live) > 1 {
 			cl.metrics.Counter("agile_cluster_coalesce_runs_total", cl.cardLabels[card]).Inc()
-			cl.metrics.Counter("agile_cluster_coalesced_jobs_total", cl.cardLabels[card]).Add(uint64(len(run)))
+			cl.metrics.Counter("agile_cluster_coalesced_jobs_total", cl.cardLabels[card]).Add(uint64(len(live)))
 		}
 	}
-	if run[0].stages != nil {
-		// A chained run: the worker's coalescing already grouped only
-		// identical stage lists, so the whole run is one chain.
-		cl.serveChainRun(card, run, runRef, stampDone)
-		return
-	}
-	if len(run) == 1 {
-		var res *core.CallResult
-		var err error
-		if runRef.Valid() {
-			res, err = cp.CallIDTraced(run[0].fn, run[0].input, runRef.TraceID, runRef.SpanID)
-		} else {
-			res, err = cp.CallID(run[0].fn, run[0].input)
+	batch, err := cl.cards[card].Exec(req)
+	// Closing every traced member's service window just before
+	// completion makes queue wait (tStart−tSubmit) plus service time
+	// (tDone−tStart) tile the item's whole dispatcher residency.
+	end := nowNS()
+	for i, p := range live {
+		if p.ref.Valid() {
+			p.tDone = end
 		}
-		stampDone(run)
-		run[0].complete(res, card, err)
-		return
-	}
-	inputs := make([][]byte, len(run))
-	for i, p := range run {
-		inputs[i] = p.input
-	}
-	var batch *core.BatchResult
-	var err error
-	if runRef.Valid() {
-		batch, err = cp.CallBatchIDTraced(run[0].fn, inputs, runRef.TraceID, runRef.SpanID)
-	} else {
-		batch, err = cp.CallBatchID(run[0].fn, inputs)
-	}
-	stampDone(run)
-	if err != nil {
-		// CallBatch fails the whole pipeline; every job in the run
-		// observes the error.
-		for _, p := range run {
+		if err != nil {
+			// A card error fails the whole run; every item observes it.
 			p.complete(nil, card, err)
+		} else {
+			p.complete(&batch.Results[i], card, nil)
 		}
-		return
-	}
-	for i, p := range run {
-		p.complete(batch.Results[i], card, nil)
 	}
 }
 
@@ -757,7 +721,7 @@ func (cl *Cluster) Serve(jobs []sched.Job, workers int) (*ServeResult, error) {
 		go func(w int) {
 			defer submitters.Done()
 			for i := w; i < len(jobs); i += workers {
-				pendings[i] = cl.Submit(jobs[i].Fn, jobs[i].Input)
+				pendings[i] = cl.Submit([]uint16{jobs[i].Fn}, []Item{{Input: jobs[i].Input}}, true)[0]
 			}
 		}(w)
 	}

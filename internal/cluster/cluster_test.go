@@ -38,7 +38,7 @@ func TestReplicateRoundRobin(t *testing.T) {
 	in := []byte{1, 2, 3, 4}
 	seen := map[int]int{}
 	for i := 0; i < 9; i++ {
-		res, card, err := cl.Call(f.ID(), in)
+		res, card, err := cl.Call([]uint16{f.ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestPartitionPinsFunctions(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			in := make([]byte, f.BlockBytes)
 			in[0] = byte(i)
-			res, card, err := cl.Call(f.ID(), in)
+			res, card, err := cl.Call([]uint16{f.ID()}, in)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name(), err)
 			}
@@ -135,7 +135,7 @@ func TestPartitionEliminatesThrashAtScale(t *testing.T) {
 			for _, f := range algos.Bank() {
 				in := make([]byte, f.BlockBytes)
 				in[0] = byte(round)
-				if _, _, err := cl.Call(f.ID(), in); err != nil {
+				if _, _, err := cl.Call([]uint16{f.ID()}, in); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -160,7 +160,7 @@ func TestUnknownFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Call(9999, []byte{1}); !errors.Is(err, ErrUnknownFunction) {
+	if _, _, err := cl.Call([]uint16{9999}, []byte{1}); !errors.Is(err, ErrUnknownFunction) {
 		t.Errorf("err = %v", err)
 	}
 	if cl.Home(9999) != -2 {
@@ -178,7 +178,7 @@ func TestReplicateSingleCard(t *testing.T) {
 	in := []byte{9, 8, 7, 6}
 	want, _ := f.Exec(in)
 	for i := 0; i < 5; i++ {
-		res, card, err := cl.Call(f.ID(), in)
+		res, card, err := cl.Call([]uint16{f.ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestReplicateSingleCard(t *testing.T) {
 			t.Fatal("wrong output")
 		}
 	}
-	p := cl.Submit(f.ID(), in)
+	p := cl.Submit([]uint16{f.ID()}, []Item{{Input: in}}, true)[0]
 	res, card, err := p.Wait()
 	if err != nil || card != 0 || !bytes.Equal(res.Output, want) {
 		t.Fatalf("async single card: card %d err %v", card, err)
@@ -217,7 +217,7 @@ func TestPartitionMoreCardsThanFunctions(t *testing.T) {
 		used[home] = true
 		in := make([]byte, f.BlockBytes)
 		in[0] = 1
-		res, card, err := cl.Call(f.ID(), in)
+		res, card, err := cl.Call([]uint16{f.ID()}, in)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
@@ -256,7 +256,7 @@ func TestAsyncUnknownFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	p := cl.Submit(9999, []byte{1})
+	p := cl.Submit([]uint16{9999}, []Item{{Input: []byte{1}}}, true)[0]
 	if _, card, err := p.Wait(); !errors.Is(err, ErrUnknownFunction) || card != -1 {
 		t.Errorf("Wait = card %d, err %v; want ErrUnknownFunction, card -1", card, err)
 	}
@@ -288,7 +288,7 @@ func TestAffinityPinsAndCoalesces(t *testing.T) {
 		for _, f := range algos.Bank() {
 			in := make([]byte, f.BlockBytes)
 			in[0] = byte(round + 1)
-			res, card, err := cl.Call(f.ID(), in)
+			res, card, err := cl.Call([]uint16{f.ID()}, in)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name(), err)
 			}
@@ -408,14 +408,14 @@ func TestClusterConcurrentStress(t *testing.T) {
 						want, _ := f.Exec(in)
 						var out []byte
 						if i%2 == 0 {
-							res, _, err := cl.Call(f.ID(), in)
+							res, _, err := cl.Call([]uint16{f.ID()}, in)
 							if err != nil {
 								errs <- err
 								return
 							}
 							out = res.Output
 						} else {
-							res, _, err := cl.Submit(f.ID(), in).Wait()
+							res, _, err := cl.Submit([]uint16{f.ID()}, []Item{{Input: in}}, true)[0].Wait()
 							if err != nil {
 								errs <- err
 								return
@@ -451,13 +451,13 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := algos.CRC32()
-	if _, _, err := cl.Submit(f.ID(), []byte{1, 2, 3, 4}).Wait(); err != nil {
+	if _, _, err := cl.Submit([]uint16{f.ID()}, []Item{{Input: []byte{1, 2, 3, 4}}}, true)[0].Wait(); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
 	cl.Close()
 	// Synchronous calls still work after Close.
-	if _, _, err := cl.Call(f.ID(), []byte{4, 3, 2, 1}); err != nil {
+	if _, _, err := cl.Call([]uint16{f.ID()}, []byte{4, 3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 }

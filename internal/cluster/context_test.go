@@ -20,7 +20,7 @@ func TestSubmitContextHappyPath(t *testing.T) {
 	defer cl.Close()
 	f := algos.CRC32()
 	in := []byte{1, 2, 3, 4}
-	p := cl.SubmitContext(context.Background(), f.ID(), in, false)
+	p := cl.Submit([]uint16{f.ID()}, []Item{{Input: in, Ctx: context.Background()}}, false)[0]
 	res, _, err := p.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSubmitContextExpiredBeforeSubmit(t *testing.T) {
 	defer cl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := cl.SubmitContext(ctx, algos.CRC32().ID(), []byte{1}, true)
+	p := cl.Submit([]uint16{algos.CRC32().ID()}, []Item{{Input: []byte{1}, Ctx: ctx}}, true)[0]
 	if _, _, err := p.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -60,14 +60,14 @@ func TestSubmitContextQueueFull(t *testing.T) {
 	cl.startOnce.Do(func() {})
 	fn := algos.CRC32().ID()
 	for i := 0; i < 2; i++ {
-		p := cl.SubmitContext(context.Background(), fn, []byte{1}, false)
+		p := cl.Submit([]uint16{fn}, []Item{{Input: []byte{1}, Ctx: context.Background()}}, false)[0]
 		select {
 		case <-p.Done():
 			t.Fatal("queued submission settled with no worker running")
 		default:
 		}
 	}
-	p := cl.SubmitContext(context.Background(), fn, []byte{1}, false)
+	p := cl.Submit([]uint16{fn}, []Item{{Input: []byte{1}, Ctx: context.Background()}}, false)[0]
 	if _, _, err := p.Wait(); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -78,7 +78,7 @@ func TestSubmitContextQueueFull(t *testing.T) {
 	// never drains.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	p = cl.SubmitContext(ctx, fn, []byte{1}, true)
+	p = cl.Submit([]uint16{fn}, []Item{{Input: []byte{1}, Ctx: ctx}}, true)[0]
 	if _, _, err := p.Wait(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocking err = %v, want DeadlineExceeded", err)
 	}
@@ -100,7 +100,7 @@ func TestWorkerSkipsExpiredJobs(t *testing.T) {
 	}
 	cl.startOnce.Do(func() {})
 	ctx, cancel := context.WithCancel(context.Background())
-	p := cl.SubmitContext(ctx, algos.CRC32().ID(), []byte{1}, false)
+	p := cl.Submit([]uint16{algos.CRC32().ID()}, []Item{{Input: []byte{1}, Ctx: ctx}}, false)[0]
 	cancel()
 	cl.startWorkers()
 	if _, _, err := p.Wait(); !errors.Is(err, context.Canceled) {
@@ -121,11 +121,11 @@ func TestSubmitAfterCloseReturnsErrStopped(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := algos.CRC32().ID()
-	if _, _, err := cl.Submit(fn, []byte{1}).Wait(); err != nil {
+	if _, _, err := cl.Submit([]uint16{fn}, []Item{{Input: []byte{1}}}, true)[0].Wait(); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
-	p := cl.Submit(fn, []byte{1})
+	p := cl.Submit([]uint16{fn}, []Item{{Input: []byte{1}}}, true)[0]
 	if _, _, err := p.Wait(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -142,7 +142,7 @@ func TestSentinelErrorsAreDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, _, err := cl.Call(0xFFFF, []byte{1}); !errors.Is(err, ErrUnknownFunction) {
+	if _, _, err := cl.Call([]uint16{0xFFFF}, []byte{1}); !errors.Is(err, ErrUnknownFunction) {
 		t.Fatalf("unknown function err = %v", err)
 	}
 }

@@ -7,8 +7,18 @@ import (
 	"testing"
 
 	"agilefpga/internal/algos"
+	"agilefpga/internal/core"
 	"agilefpga/internal/metrics"
 )
+
+// items wraps inputs as untraced, deadline-free submission items.
+func items(inputs [][]byte) []Item {
+	out := make([]Item, len(inputs))
+	for i, in := range inputs {
+		out[i] = Item{Input: in}
+	}
+	return out
+}
 
 // TestSubmitGroupMatchesIndividualCalls is the cross-client batching
 // correctness bar: a group submitted as one queue entry returns, job
@@ -26,7 +36,7 @@ func TestSubmitGroupMatchesIndividualCalls(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []byte{byte(i), 2, 3, byte(i * 3)}
 	}
-	pendings := cl.SubmitGroup(nil, f.ID(), inputs, false)
+	pendings := cl.Submit([]uint16{f.ID()}, items(inputs), false)
 	if len(pendings) != len(inputs) {
 		t.Fatalf("got %d pendings for %d inputs", len(pendings), len(inputs))
 	}
@@ -65,9 +75,9 @@ func TestSubmitGroupServedAsOneBatch(t *testing.T) {
 	}
 	cl.startOnce.Do(func() {}) // park the workers
 	inputs := [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}, {4, 4, 4, 4}}
-	pendings := cl.SubmitGroup(nil, algos.CRC32().ID(), inputs, false)
+	pendings := cl.Submit([]uint16{algos.CRC32().ID()}, items(inputs), false)
 	// Four jobs, one slot: a second group still fits the 2-deep queue.
-	more := cl.SubmitGroup(nil, algos.CRC32().ID(), inputs[:2], false)
+	more := cl.Submit([]uint16{algos.CRC32().ID()}, items(inputs[:2]), false)
 	for _, p := range append(pendings, more...) {
 		select {
 		case <-p.Done():
@@ -104,9 +114,10 @@ func TestSubmitGroupExpiredChildFailsAlone(t *testing.T) {
 	}
 	cl.startOnce.Do(func() {})
 	ctx, cancel := context.WithCancel(context.Background())
-	ctxs := []context.Context{nil, ctx, nil}
 	inputs := [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
-	pendings := cl.SubmitGroup(ctxs, algos.CRC32().ID(), inputs, false)
+	group := items(inputs)
+	group[1].Ctx = ctx
+	pendings := cl.Submit([]uint16{algos.CRC32().ID()}, group, false)
 	cancel()
 	cl.startWorkers()
 	if _, _, err := pendings[1].Wait(); !errors.Is(err, context.Canceled) {
@@ -129,23 +140,40 @@ func TestSubmitGroupExpiredChildFailsAlone(t *testing.T) {
 }
 
 // TestSubmitGroupErrorPaths: unknown functions fail every child with
-// the routing error; an empty group is a no-op; a stopped cluster
-// fails the group with ErrStopped.
+// the routing error; an empty group is a no-op; an item the card cannot
+// stage fails alone at admission while its neighbours are served; a
+// stopped cluster fails the group with ErrStopped.
 func TestSubmitGroupErrorPaths(t *testing.T) {
 	cl, err := New(1, ModeReplicate, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range cl.SubmitGroup(nil, 0xFFFF, [][]byte{{1}, {2}}, false) {
+	for _, p := range cl.Submit([]uint16{0xFFFF}, items([][]byte{{1}, {2}}), false) {
 		if _, _, err := p.Wait(); !errors.Is(err, ErrUnknownFunction) {
 			t.Fatalf("err = %v, want ErrUnknownFunction", err)
 		}
 	}
-	if got := cl.SubmitGroup(nil, algos.CRC32().ID(), nil, false); len(got) != 0 {
+	if got := cl.Submit([]uint16{algos.CRC32().ID()}, items(nil), false); len(got) != 0 {
 		t.Fatalf("empty group returned %d pendings", len(got))
 	}
+	f := algos.CRC32()
+	window := cl.cards[0].Controller().InWindowBytes()
+	inputs := [][]byte{bytes.Repeat([]byte{1}, 64), make([]byte, window+1), bytes.Repeat([]byte{3}, 64)}
+	pendings := cl.Submit([]uint16{f.ID()}, items(inputs), false)
+	if _, card, err := pendings[1].Wait(); !errors.Is(err, core.ErrBadInput) || card != -1 {
+		t.Fatalf("oversized item: card %d, err %v; want card -1, core.ErrBadInput", card, err)
+	}
+	for _, i := range []int{0, 2} {
+		res, _, err := pendings[i].Wait()
+		if err != nil {
+			t.Fatalf("item %d failed beside an oversized neighbour: %v", i, err)
+		}
+		if want, _ := f.Exec(inputs[i]); !bytes.Equal(res.Output, want) {
+			t.Fatalf("item %d: wrong output", i)
+		}
+	}
 	cl.Close()
-	for _, p := range cl.SubmitGroup(nil, algos.CRC32().ID(), [][]byte{{1}}, false) {
+	for _, p := range cl.Submit([]uint16{algos.CRC32().ID()}, items([][]byte{{1}}), false) {
 		if _, _, err := p.Wait(); !errors.Is(err, ErrStopped) {
 			t.Fatalf("err after close = %v, want ErrStopped", err)
 		}

@@ -41,7 +41,7 @@ func TestStatsAggregatesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range clusterJobs(t, 120) {
-		if _, _, err := cl.Call(j.Fn, j.Input); err != nil {
+		if _, _, err := cl.Call([]uint16{j.Fn}, j.Input); err != nil {
 			t.Fatal(err)
 		}
 	}

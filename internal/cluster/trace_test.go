@@ -20,7 +20,7 @@ func TestSubmitTracedStampsTimes(t *testing.T) {
 	defer cl.Close()
 	f := algos.CRC32()
 	ref := trace.SpanRef{TraceID: 0xA11CE, SpanID: 0xB0B}
-	p := cl.SubmitContextTraced(context.Background(), f.ID(), []byte{1, 2, 3, 4}, true, ref)
+	p := cl.Submit([]uint16{f.ID()}, []Item{{Input: []byte{1, 2, 3, 4}, Ctx: context.Background(), Ref: ref}}, true)[0]
 	if _, _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSubmitUntracedStampsNothing(t *testing.T) {
 	}
 	defer cl.Close()
 	f := algos.CRC32()
-	p := cl.Submit(f.ID(), []byte{1, 2, 3, 4})
+	p := cl.Submit([]uint16{f.ID()}, []Item{{Input: []byte{1, 2, 3, 4}}}, true)[0]
 	if _, _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTracedRunTagsCardLog(t *testing.T) {
 	cl.SetTrace(log)
 	f := algos.CRC32()
 	ref := trace.SpanRef{TraceID: 0xFACE, SpanID: 0xD00D}
-	p := cl.SubmitContextTraced(context.Background(), f.ID(), []byte{1, 2, 3, 4}, true, ref)
+	p := cl.Submit([]uint16{f.ID()}, []Item{{Input: []byte{1, 2, 3, 4}, Ctx: context.Background(), Ref: ref}}, true)[0]
 	if _, _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTracedRunTagsCardLog(t *testing.T) {
 	}
 	// A fresh untraced call must leave new events untagged.
 	before := log.Len()
-	q := cl.Submit(f.ID(), []byte{5, 6, 7, 8})
+	q := cl.Submit([]uint16{f.ID()}, []Item{{Input: []byte{5, 6, 7, 8}}}, true)[0]
 	if _, _, err := q.Wait(); err != nil {
 		t.Fatal(err)
 	}

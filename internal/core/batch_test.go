@@ -7,6 +7,15 @@ import (
 	"agilefpga/internal/algos"
 )
 
+// execNames runs inputs through the named stages as one request.
+func execNames(cp *CoProcessor, inputs [][]byte, names ...string) (*BatchResult, error) {
+	fns, err := cp.Lookup(names...)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Exec(Request{Stages: fns, Inputs: inputs})
+}
+
 func TestCallBatchMatchesSequential(t *testing.T) {
 	cp := newCP(t, Config{})
 	if _, err := cp.Install(algos.SHA256()); err != nil {
@@ -19,16 +28,16 @@ func TestCallBatchMatchesSequential(t *testing.T) {
 			inputs[i][j] = byte(i*37 + j)
 		}
 	}
-	batch, err := cp.CallBatch("sha256", inputs)
+	batch, err := execNames(cp, inputs, "sha256")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, "sha256")
 	}
-	if len(batch.Outputs) != len(inputs) {
-		t.Fatalf("outputs = %d", len(batch.Outputs))
+	if len(batch.Results) != len(inputs) {
+		t.Fatalf("outputs = %d", len(batch.Results))
 	}
 	for i, in := range inputs {
 		want, _ := algos.SHA256().Exec(in)
-		if !bytes.Equal(batch.Outputs[i], want) {
+		if !bytes.Equal(batch.Results[i].Output, want) {
 			t.Fatalf("item %d output mismatch", i)
 		}
 	}
@@ -63,9 +72,9 @@ func TestCallBatchOverlapWins(t *testing.T) {
 	if _, err := cp.Call("sha256", inputs[0]); err != nil { // warm
 		t.Fatal(err)
 	}
-	batch, err := cp.CallBatch("sha256", inputs)
+	batch, err := execNames(cp, inputs, "sha256")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err, "sha256")
 	}
 	if float64(batch.Latency) > 0.85*float64(batch.SequentialLatency) {
 		t.Errorf("overlap too weak: %v vs %v", batch.Latency, batch.SequentialLatency)
@@ -77,18 +86,18 @@ func TestCallBatchValidation(t *testing.T) {
 	if _, err := cp.Install(algos.CRC32()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.CallBatch("crc32", nil); err == nil {
-		t.Error("empty batch accepted")
+	if _, err := execNames(cp, nil, "crc32"); err == nil {
+		t.Error("empty batch accepted", "crc32")
 	}
-	if _, err := cp.CallBatch("crc32", [][]byte{{1, 2}, nil}); err == nil {
-		t.Error("empty item accepted")
+	if _, err := execNames(cp, [][]byte{{1, 2}, nil}, "crc32"); err == nil {
+		t.Error("empty item accepted", "crc32")
 	}
-	if _, err := cp.CallBatch("nope", [][]byte{{1}}); err == nil {
-		t.Error("unknown function accepted")
+	if _, err := execNames(cp, [][]byte{{1}}, "nope"); err == nil {
+		t.Error("unknown function accepted", "nope")
 	}
 	huge := make([]byte, cp.Controller().InWindowBytes()+1)
-	if _, err := cp.CallBatch("crc32", [][]byte{huge}); err == nil {
-		t.Error("oversized item accepted")
+	if _, err := execNames(cp, [][]byte{huge}, "crc32"); err == nil {
+		t.Error("oversized item accepted", "crc32")
 	}
 }
 
@@ -100,8 +109,8 @@ func TestCallBatchStateConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{[]byte("block001"), []byte("block002"), []byte("block003")}
-	if _, err := cp.CallBatch("des", inputs); err != nil {
-		t.Fatal(err)
+	if _, err := execNames(cp, inputs, "des"); err != nil {
+		t.Fatal(err, "des")
 	}
 	st := cp.Stats()
 	if st.Requests != 3 || st.Misses != 1 || st.Hits != 2 {
@@ -112,5 +121,29 @@ func TestCallBatchStateConsistency(t *testing.T) {
 	}
 	if err := cp.Controller().CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCardErrorChargesBusTime pins the bus accounting of a failing
+// request: the host spent the input burst, the mailbox writes and the
+// status reads before the card reported the error, so the PCI clock
+// advances by the same amount whether the failure is a lone call or a
+// one-item batch.
+func TestCardErrorChargesBusTime(t *testing.T) {
+	in := []byte{1, 2, 3, 4}
+	call := newCP(t, Config{})
+	if _, err := call.CallID(999, in); err == nil {
+		t.Fatal("unknown function accepted")
+	}
+	batch := newCP(t, Config{})
+	if _, err := batch.Exec(Request{Stages: []uint16{999}, Inputs: [][]byte{in}}); err == nil {
+		t.Fatal("unknown function accepted in a batch")
+	}
+	failed := call.pciDom.Cycles()
+	if failed == 0 {
+		t.Fatal("failing call charged no bus cycles")
+	}
+	if got := batch.pciDom.Cycles(); got != failed {
+		t.Errorf("failing 1-item batch charged %d bus cycles, failing call %d", got, failed)
 	}
 }

@@ -67,7 +67,7 @@ func RunE11(items, itemBytes int) (*E11Result, error) {
 		if _, err := cp.Call(fname, inputs[0]); err != nil {
 			return nil, fmt.Errorf("exp: E11 warm %s: %w", fname, err)
 		}
-		batch, err := cp.CallBatch(fname, inputs)
+		batch, err := execNamed(cp, []string{fname}, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: E11 %s: %w", fname, err)
 		}
@@ -88,4 +88,13 @@ func RunE11(items, itemBytes int) (*E11Result, error) {
 	}
 	res.Table.Caption = "batched = double-buffered DMA (half-duplex bus ‖ card); sequential = the E5 protocol"
 	return res, nil
+}
+
+// execNamed runs inputs through the named stages as one card request.
+func execNamed(cp *core.CoProcessor, names []string, inputs [][]byte) (*core.BatchResult, error) {
+	fns, err := cp.Lookup(names...)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Exec(core.Request{Stages: fns, Inputs: inputs})
 }

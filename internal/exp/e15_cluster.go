@@ -65,7 +65,7 @@ func RunE15(requests int) (*E15Result, error) {
 				}
 				in := make([]byte, f.BlockBytes)
 				in[0] = byte(i)
-				call, _, err := cl.Call(fn, in)
+				call, _, err := cl.Call([]uint16{fn}, in)
 				if err != nil {
 					return nil, fmt.Errorf("exp: E15 %d/%s request %d: %w", n, mode, i, err)
 				}

@@ -72,7 +72,7 @@ func e16Serial(jobs []sched.Job) (cluster.Stats, time.Duration, error) {
 	}
 	start := time.Now() //lint:wallclock E16 compares real serial vs concurrent wall time
 	for _, j := range jobs {
-		if _, _, err := cl.Call(j.Fn, j.Input); err != nil {
+		if _, _, err := cl.Call([]uint16{j.Fn}, j.Input); err != nil {
 			return cluster.Stats{}, 0, fmt.Errorf("exp: E16 serial job %d: %w", j.Seq, err)
 		}
 	}

@@ -140,19 +140,22 @@ func RunE20(items, itemBytes int) (*E20Result, error) {
 		var stagedBatch sim.Time
 		batchOuts := inputs
 		for _, name := range chain {
-			b, err := cp.CallBatch(name, batchOuts)
+			b, err := execNamed(cp, []string{name}, batchOuts)
 			if err != nil {
 				return nil, fmt.Errorf("exp: E20 staged batch %s/%s: %w", label, name, err)
 			}
 			stagedBatch += b.Latency
-			batchOuts = b.Outputs
+			batchOuts = make([][]byte, len(b.Results))
+			for i := range b.Results {
+				batchOuts[i] = b.Results[i].Output
+			}
 		}
-		cb, err := cp.CallChainBatch(chain, inputs)
+		cb, err := execNamed(cp, chain, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("exp: E20 chain batch %s: %w", label, err)
 		}
-		for i := range cb.Outputs {
-			if !bytes.Equal(cb.Outputs[i], batchOuts[i]) {
+		for i := range cb.Results {
+			if !bytes.Equal(cb.Results[i].Output, batchOuts[i]) {
 				res.Identical = false
 			}
 		}

@@ -75,7 +75,8 @@ func (c *Controller) ExecuteChain(fns []uint16, input []byte) ([]byte, sim.Break
 }
 
 // LastChainStages reports the per-stage attribution of the most recent
-// chained command (the mailbox path cannot return it in registers).
+// Execute (one stage) or ExecuteChain command (the mailbox path cannot
+// return it in registers).
 // Callers hold the owning card's lock, like LastBreakdown.
 func (c *Controller) LastChainStages() []ChainStage { return c.lastChain }
 
@@ -163,11 +164,9 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 		k.policy.OnAccess(fn, k.now)
 	}
 
-	// Pass 2: stream the data through the chain. Stage 0 reads the
-	// host's input from the input window; every later stage streams its
-	// predecessor's output straight out of the output window — the RAM
-	// hand-off that replaces a per-stage PCI round trip.
-	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
+	// Pass 2: stream the data through the chain, each intermediate
+	// handed to the next stage through RAM — the hand-off that replaces
+	// a per-stage PCI round trip.
 	cur := input
 	for i, fn := range fns {
 		sbr := &stages[i].Cost
@@ -187,39 +186,20 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 			}
 		}
 
-		padded := padTo(cur, int(rec.InBus))
-		if len(padded) > inWin {
-			return nil, stages, handoff, fmt.Errorf("%w: chain stage %d input %d bytes, window %d",
-				ErrRAMWindow, i, len(padded), inWin)
-		}
+		// Stage 0 reads the host's input from the input window; every
+		// later stage streams its predecessor's output straight out of
+		// the output window.
 		off := 0
 		if i > 0 {
-			off = inWin
-			handoff += uint64(len(padded))
+			off = c.ram.Capacity() / 2
 		}
-		if werr := c.ram.Write(off, padded); werr != nil {
-			return nil, stages, handoff, werr
+		stageOut, staged, serr := c.runStage(res, rec, i, cur, off, sbr)
+		if serr != nil {
+			return nil, stages, handoff, serr
 		}
-		inBeats := uint64(len(padded)) / uint64(rec.InBus)
-		sbr.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
-
-		stageOut, fabCycles, xerr := res.inst.Exec(padded)
-		if xerr != nil {
-			return nil, stages, handoff, xerr
+		if i > 0 {
+			handoff += uint64(staged)
 		}
-		sbr.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
-
-		outPadded := padTo(stageOut, int(rec.OutBus))
-		if len(outPadded) > outWin {
-			return nil, stages, handoff, fmt.Errorf("%w: chain stage %d output %d bytes, window %d",
-				ErrRAMWindow, i, len(outPadded), outWin)
-		}
-		if werr := c.ram.Write(inWin, outPadded); werr != nil {
-			return nil, stages, handoff, werr
-		}
-		outBeats := uint64(len(outPadded)) / uint64(rec.OutBus)
-		sbr.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
-
 		cur = stageOut
 	}
 	c.lastOutputLen = len(cur)

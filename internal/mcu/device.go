@@ -11,13 +11,16 @@ import (
 
 // The controller's PCI target face. BAR0 is the command mailbox; BAR1 is
 // a window onto local RAM (inputs in the lower half, outputs in the upper
-// half). The host protocol per request is:
+// half). The host protocol per item is:
 //
 //  1. burst-write the input into BAR1 at offset 0
 //  2. write ARG0 = function id, ARG1 = input length
 //  3. write CMD = CmdExec — the command runs synchronously on the card
 //  4. read STATUS (StatusOK / StatusError), RESULTLEN
 //  5. burst-read the output from BAR1 at OutWindowOff
+//
+// A chain latches its stage list through RegCHAIN once, then sends
+// CmdExecChain with ARG0 = stage count in step 3.
 //
 // The one-request-at-a-time synchronous mailbox matches the paper's
 // host-issues-instructions-over-PCI model.
@@ -186,8 +189,8 @@ func (c *Controller) command(cmd uint32) {
 	c.regs.errCode = ErrCodeNone
 	switch cmd {
 	case CmdNop:
-	case CmdExec:
-		c.cmdExec()
+	case CmdExec, CmdExecChain:
+		c.cmdExec(cmd == CmdExecChain)
 	case CmdEvict:
 		if c.Evict(uint16(c.regs.arg0)) {
 			c.regs.status = StatusOK
@@ -209,8 +212,6 @@ func (c *Controller) command(cmd uint32) {
 		}
 		c.regs.status = StatusOK
 		c.regs.resultLen = uint32(rep.FramesRepaired)
-	case CmdExecChain:
-		c.cmdExecChain()
 	case CmdDefrag:
 		moved, _, err := c.Defrag()
 		if err != nil {
@@ -226,46 +227,28 @@ func (c *Controller) command(cmd uint32) {
 	}
 }
 
-func (c *Controller) cmdExec() {
-	fn := uint16(c.regs.arg0)
-	n := int(c.regs.arg1)
-	if n <= 0 || n > c.InWindowBytes() {
+// cmdExec serves CmdExec (ARG0 = fn id) and CmdExecChain (ARG0 =
+// number of stages latched through RegCHAIN) over the ARG1-byte input
+// staged at BAR1 offset 0.
+func (c *Controller) cmdExec(chain bool) {
+	k, n := int(c.regs.arg0), int(c.regs.arg1)
+	ok := n > 0 && n <= c.InWindowBytes() && (!chain || k >= 2 && k <= MaxChainStages)
+	var input []byte
+	var err error
+	if ok {
+		input, err = c.ram.Read(0, n)
+	}
+	if !ok || err != nil {
 		c.regs.status = StatusError
 		c.regs.errCode = ErrCodeBadInput
 		return
 	}
-	input, err := c.ram.Read(0, n)
-	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
-		return
+	var out []byte
+	if chain {
+		out, _, _, err = c.ExecuteChain(c.regs.chain[:k], input)
+	} else {
+		out, _, err = c.Execute(uint16(k), input)
 	}
-	out, _, err := c.Execute(fn, input)
-	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = classify(err)
-		c.regs.resultLen = 0
-		return
-	}
-	c.regs.status = StatusOK
-	c.regs.resultLen = uint32(len(out))
-}
-
-func (c *Controller) cmdExecChain() {
-	nstages := int(c.regs.arg0)
-	n := int(c.regs.arg1)
-	if nstages < 2 || nstages > MaxChainStages || n <= 0 || n > c.InWindowBytes() {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
-		return
-	}
-	input, err := c.ram.Read(0, n)
-	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
-		return
-	}
-	out, _, _, err := c.ExecuteChain(c.regs.chain[:nstages], input)
 	if err != nil {
 		c.regs.status = StatusError
 		c.regs.errCode = classify(err)

@@ -114,9 +114,10 @@ type Controller struct {
 	lastBreakdown sim.Breakdown
 	lastOutputLen int
 	// lastChain holds the per-stage attribution of the most recent
-	// chained command (CmdExecChain), for the host to collect after the
-	// mailbox reports success.
+	// Execute (one stage, backed by lastOne) or ExecuteChain, for the
+	// host to collect after the mailbox reports success.
 	lastChain []ChainStage
+	lastOne   [1]ChainStage
 
 	stats Stats
 
@@ -494,6 +495,8 @@ func (c *Controller) Execute(fnID uint16, input []byte) ([]byte, sim.Breakdown, 
 	hitsBefore := c.stats.Hits
 	out, err := c.execute(fnID, input, &br)
 	c.lastBreakdown = br
+	c.lastOne[0] = ChainStage{Fn: fnID, Hit: c.stats.Hits > hitsBefore, Cost: br}
+	c.lastChain = c.lastOne[:]
 	c.stats.Phases.AddAll(br)
 	if err != nil {
 		c.stats.Errors++
@@ -592,41 +595,48 @@ func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]by
 	res.lastAccess = c.kernel.now
 	c.kernel.policy.OnAccess(fnID, c.kernel.now)
 
-	// Data input module: stage input into RAM, then stream to the fabric
-	// in multiples of the record's input bus width (§2.3). The module is
-	// a DMA engine against dual-ported staging RAM, so the RAM access
-	// hides behind the bus beats; the charge is beats plus setup.
-	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
-	padded := padTo(input, int(rec.InBus))
-	if len(padded) > inWin {
-		return nil, fmt.Errorf("%w: input %d bytes, window %d", ErrRAMWindow, len(padded), inWin)
-	}
-	if err := c.ram.Write(0, padded); err != nil {
-		return nil, err
-	}
-	inBeats := uint64(len(padded)) / uint64(rec.InBus)
-	br.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
-
-	// Execute on the fabric.
-	out, fabCycles, err := res.inst.Exec(padded)
+	out, _, err := c.runStage(res, rec, 0, input, 0, br)
 	if err != nil {
 		return nil, err
 	}
-	br.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
-
-	// Output collection module: fabric → RAM in OutBus multiples.
-	outPadded := padTo(out, int(rec.OutBus))
-	if len(outPadded) > outWin {
-		return nil, fmt.Errorf("%w: output %d bytes, window %d", ErrRAMWindow, len(outPadded), outWin)
-	}
-	if err := c.ram.Write(inWin, outPadded); err != nil {
-		return nil, err
-	}
-	outBeats := uint64(len(outPadded)) / uint64(rec.OutBus)
-	br.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
-
 	c.lastOutputLen = len(out)
 	return out, nil
+}
+
+// runStage moves one stage's data through the card (§2.3). The data
+// input module stages the input, zero-padded to the record's input bus
+// width, in RAM at inOff and streams it to the fabric; it is a DMA
+// engine against dual-ported staging RAM, so the RAM access hides
+// behind the bus beats and the charge is beats plus setup. The fabric
+// executes, and the output-collection module writes the output, padded
+// to the output bus width, to the output window. It charges br and
+// returns the unpadded output and the staged input length.
+func (c *Controller) runStage(res *resident, rec memory.Record, stage int, input []byte, inOff int, br *sim.Breakdown) ([]byte, int, error) {
+	win := c.ram.Capacity() / 2
+	padded := padTo(input, int(rec.InBus))
+	if len(padded) > win {
+		return nil, 0, fmt.Errorf("%w: stage %d input %d bytes, window %d", ErrRAMWindow, stage, len(padded), win)
+	}
+	if err := c.ram.Write(inOff, padded); err != nil {
+		return nil, 0, err
+	}
+	br.Add(sim.PhaseDataIn, c.mcuDom.Advance(uint64(len(padded))/uint64(rec.InBus)+4))
+
+	out, fabCycles, err := res.inst.Exec(padded)
+	if err != nil {
+		return nil, 0, err
+	}
+	br.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
+
+	outPadded := padTo(out, int(rec.OutBus))
+	if len(outPadded) > win {
+		return nil, 0, fmt.Errorf("%w: stage %d output %d bytes, window %d", ErrRAMWindow, stage, len(outPadded), win)
+	}
+	if err := c.ram.Write(win, outPadded); err != nil {
+		return nil, 0, err
+	}
+	br.Add(sim.PhaseDataOut, c.mcuDom.Advance(uint64(len(outPadded))/uint64(rec.OutBus)+4))
+	return out, len(padded), nil
 }
 
 // findRecord scans the record table like the mini OS would, reporting how

@@ -117,7 +117,7 @@ func TestRouterEndToEndMatchesDirectCall(t *testing.T) {
 	r, _ := newTestRouter(t, f, router.Options{})
 	in := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, fn := range []*algos.Function{algos.CRC32(), algos.MD5(), algos.SHA1(), algos.FIR()} {
-		direct, _, err := f.nodes[0].cl.Call(fn.ID(), in)
+		direct, _, err := f.nodes[0].cl.Call([]uint16{fn.ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestRouterScatterGather(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", fns[i].Name(), res.Err)
 		}
-		direct, _, err := f.nodes[0].cl.Call(fns[i].ID(), in)
+		direct, _, err := f.nodes[0].cl.Call([]uint16{fns[i].ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestRouterWireFrontEnd(t *testing.T) {
 	defer c.Close()
 	in := []byte{1, 1, 2, 3, 5, 8, 13, 21}
 	for _, fn := range []*algos.Function{algos.CRC32(), algos.MD5(), algos.FFT()} {
-		direct, _, err := f.nodes[0].cl.Call(fn.ID(), in)
+		direct, _, err := f.nodes[0].cl.Call([]uint16{fn.ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}

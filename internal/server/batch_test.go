@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,6 +12,8 @@ import (
 
 	"agilefpga/internal/algos"
 	"agilefpga/internal/client"
+	"agilefpga/internal/core"
+	"agilefpga/internal/fpga"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/wire"
 )
@@ -26,7 +29,7 @@ func TestPipelinedCallsMatchDirect(t *testing.T) {
 	want := make([][]byte, n)
 	for i := range inputs {
 		inputs[i] = []byte{byte(i), byte(i * 7), 3, 4, byte(i)}
-		res, _, err := h.cl.Call(fn.ID(), inputs[i])
+		res, _, err := h.cl.Call([]uint16{fn.ID()}, inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +167,54 @@ func TestCrossClientBatching(t *testing.T) {
 	}
 	if cj := h.reg.Counter("agile_cluster_coalesced_jobs_total", metrics.L("card", "0")).Value(); cj < n {
 		t.Errorf("coalesced jobs = %d, want >= %d — the window must run as one batch", cj, n)
+	}
+}
+
+// TestOversizedItemFailsAloneInBatch: one client's payload that the
+// card cannot stage lands in a cross-client window with two valid
+// neighbours. It is answered INVALID_ARGUMENT on its own while the
+// neighbours get their bytes.
+func TestOversizedItemFailsAloneInBatch(t *testing.T) {
+	h := newHarness(t, 1, Options{BatchWindow: 3, BatchDwell: 10 * time.Second}, nil)
+	cp, err := core.New(core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := algos.CRC32()
+	inputs := [][]byte{
+		bytes.Repeat([]byte{1}, 64),
+		make([]byte, cp.Controller().InWindowBytes()+1),
+		bytes.Repeat([]byte{3}, 64),
+	}
+	var wg sync.WaitGroup
+	outs := make([][]byte, len(inputs))
+	errs := make([]error, len(inputs))
+	for i := range inputs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := client.Dial(h.addr, client.Options{MaxRetries: -1})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer c.Close()
+			outs[i], _, errs[i] = c.Call(context.Background(), fn.ID(), inputs[i])
+		}(i)
+	}
+	wg.Wait()
+	var se *client.StatusError
+	if !errors.As(errs[1], &se) || se.Status != wire.StatusInvalidArgument {
+		t.Errorf("oversized item err = %v, want INVALID_ARGUMENT", errs[1])
+	}
+	for _, i := range []int{0, 2} {
+		want, _ := fn.Exec(inputs[i])
+		if errs[i] != nil || !bytes.Equal(outs[i], want) {
+			t.Errorf("item %d beside an oversized neighbour: out=%x err=%v", i, outs[i], errs[i])
+		}
+	}
+	if hist := h.reg.Histogram("agile_net_batch_window_size"); hist.Count() != 1 || hist.Sum() != 3 {
+		t.Errorf("window histogram count=%d sum=%d, want one flush of 3", hist.Count(), hist.Sum())
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // most one open window: the first request opens it and arms a dwell
 // timer, later requests join it, and the window flushes when it
 // reaches BatchWindow entries or the dwell expires — whichever comes
-// first. A flushed window becomes one cluster.SubmitGroup call, so the
+// first. A flushed window becomes one cluster.Submit call, so the
 // whole cross-client batch rides a single card-queue slot and executes
 // as one coalesced run (one configuration check, one batch id).
 //
@@ -41,10 +41,8 @@ type batchWin struct {
 	fn      uint16
 	timer   *time.Timer
 	started time.Time
-	ctxs    []context.Context
-	inputs  [][]byte
+	items   []cluster.Item
 	outs    []chan *cluster.Pending
-	refs    []trace.SpanRef
 	flushed bool
 }
 
@@ -66,10 +64,8 @@ func (b *batcher) submit(ctx context.Context, req *wire.Request, ref trace.SpanR
 		b.open[req.Fn] = w
 		w.timer = time.AfterFunc(b.dwell, func() { b.flush(w) }) //lint:wallclock see above
 	}
-	w.ctxs = append(w.ctxs, ctx)
-	w.inputs = append(w.inputs, req.Payload)
+	w.items = append(w.items, cluster.Item{Input: req.Payload, Ctx: ctx, Ref: ref})
 	w.outs = append(w.outs, ch)
-	w.refs = append(w.refs, ref)
 	full := len(w.outs) >= b.window
 	b.mu.Unlock()
 	if full {
@@ -91,7 +87,7 @@ func (b *batcher) flush(w *batchWin) {
 		delete(b.open, w.fn)
 	}
 	w.timer.Stop()
-	ctxs, inputs, outs, refs := w.ctxs, w.inputs, w.outs, w.refs
+	items, outs := w.items, w.outs
 	dwell := time.Since(w.started) //lint:wallclock dwell bounds real client-visible latency at the network edge
 	b.mu.Unlock()
 	if b.reg != nil {
@@ -103,13 +99,13 @@ func (b *batcher) flush(w *batchWin) {
 	// batch-window span covering the dwell, noting the window size, so
 	// cross-client coalescing is visible in each request's own tree.
 	note := fmt.Sprintf("size=%d fn=%d", len(outs), w.fn)
-	for _, ref := range refs {
-		b.tracer.Add(ref, trace.Span{
+	for _, it := range items {
+		b.tracer.Add(it.Ref, trace.Span{
 			Name: "batch-window", Layer: "server", Fn: w.fn, Note: note,
 			StartNS: w.started.UnixNano(), DurNS: dwell.Nanoseconds(),
 		})
 	}
-	pendings := b.cl.SubmitGroupTraced(ctxs, w.fn, inputs, false, refs)
+	pendings := b.cl.Submit([]uint16{w.fn}, items, false)
 	for i, ch := range outs {
 		ch <- pendings[i]
 	}

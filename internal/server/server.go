@@ -350,25 +350,24 @@ func (s *Server) refuse(id uint64, fn uint16, write func(*wire.Response), st wir
 
 // execute runs one admitted request on the cluster, mapping dispatcher
 // errors to wire statuses. ctx carries the request's deadline; ref the
-// request's server span (zero when the request is not sampled). A chain
-// request submits its whole stage list as one dispatcher job (the
-// cluster worker coalesces consecutive same-chain submissions into a
-// pipelined chain batch); a plain request goes through the batcher when
-// one is configured.
+// request's server span (zero when the request is not sampled). A
+// request — one function or a whole chain — is one dispatcher item (the
+// cluster worker coalesces consecutive items with the same stage list
+// into one pipelined card request); a plain request goes through the
+// batcher when one is configured.
 func (s *Server) execute(ctx context.Context, req *wire.AnyRequest, ref trace.SpanRef) (wire.Status, int16, []byte) {
+	stages, payload := []uint16{req.Plain.Fn}, req.Plain.Payload
+	if req.IsChain {
+		stages, payload = req.Chain.Stages, req.Chain.Payload
+	}
 	var p *cluster.Pending
 	switch {
-	case req.IsChain:
-		if len(req.Chain.Payload) == 0 {
-			return wire.StatusInvalidArgument, -1, []byte("empty payload")
-		}
-		p = s.cl.SubmitChainContextTraced(ctx, req.Chain.Stages, req.Chain.Payload, false, ref)
-	case len(req.Plain.Payload) == 0:
+	case len(payload) == 0:
 		return wire.StatusInvalidArgument, -1, []byte("empty payload")
-	case s.batch != nil:
+	case !req.IsChain && s.batch != nil:
 		p = s.batch.submit(ctx, &req.Plain, ref)
 	default:
-		p = s.cl.SubmitContextTraced(ctx, req.Plain.Fn, req.Plain.Payload, false, ref)
+		p = s.cl.Submit(stages, []cluster.Item{{Input: payload, Ctx: ctx, Ref: ref}}, false)[0]
 	}
 	select {
 	case <-p.Done():
@@ -429,7 +428,7 @@ func statusOf(err error) wire.Status {
 		return wire.StatusResourceExhausted
 	case errors.Is(err, cluster.ErrStopped):
 		return wire.StatusUnavailable
-	case errors.Is(err, cluster.ErrChainSplit):
+	case errors.Is(err, cluster.ErrChainSplit), errors.Is(err, core.ErrBadInput):
 		return wire.StatusInvalidArgument
 	case errors.Is(err, context.DeadlineExceeded):
 		return wire.StatusDeadlineExceeded

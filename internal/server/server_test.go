@@ -68,7 +68,7 @@ func TestEndToEndMatchesDirectCall(t *testing.T) {
 	defer c.Close()
 	for _, f := range []*algos.Function{algos.CRC32(), algos.MD5()} {
 		in := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-		direct, _, err := h.cl.Call(f.ID(), in)
+		direct, _, err := h.cl.Call([]uint16{f.ID()}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
