@@ -374,6 +374,7 @@ func BenchmarkColdLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := benchInput(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cp.Controller().Evict(algos.IDSHA256)

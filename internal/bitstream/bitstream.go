@@ -11,6 +11,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -19,32 +20,57 @@ import (
 )
 
 // Builder assembles a bitstream word by word, tracking the running CRC
-// exactly as the configuration port will compute it.
+// exactly as the configuration port will compute it. Words are appended
+// big-endian, in the byte order the port consumes them.
 type Builder struct {
-	words []uint32
-	crc   uint32
+	buf []byte
+	crc uint32
 }
 
 // NewBuilder returns a builder primed with a dummy pad word and the sync
 // word, ready for packets.
-func NewBuilder() *Builder {
-	b := &Builder{}
+func NewBuilder() *Builder { return newBuilder(0) }
+
+// newBuilder is NewBuilder with room for words words reserved up front.
+func newBuilder(words int) *Builder {
+	b := &Builder{buf: make([]byte, 0, 4*words)}
 	b.Raw(fpga.DummyWord)
 	b.Raw(fpga.SyncWord)
 	return b
 }
 
 // Raw appends a word without packet framing or CRC accounting.
-func (b *Builder) Raw(w uint32) { b.words = append(b.words, w) }
+func (b *Builder) Raw(w uint32) { b.buf = binary.BigEndian.AppendUint32(b.buf, w) }
 
 // WriteReg appends a type-1 write of vals to reg.
 func (b *Builder) WriteReg(reg int, vals ...uint32) {
 	b.Raw(fpga.MakeType1(fpga.OpWrite, reg, len(vals)))
 	for _, v := range vals {
-		if reg != fpga.RegCRC {
-			b.crc = fpga.CRCUpdate(b.crc, reg, v)
-		}
-		b.Raw(v)
+		b.payload(reg, v)
+	}
+}
+
+// payload appends one payload word of a write to reg.
+func (b *Builder) payload(reg int, v uint32) {
+	if reg != fpga.RegCRC {
+		b.crc = fpga.CRCUpdate(b.crc, reg, v)
+	}
+	b.Raw(v)
+}
+
+// writeFrame appends an FDRI write carrying one frame image as big-endian
+// words, zero-padding the final word if the frame size is not
+// word-aligned.
+func (b *Builder) writeFrame(words int, image []byte) {
+	b.Raw(fpga.MakeType1(fpga.OpWrite, fpga.RegFDRI, words))
+	for len(image) >= 4 {
+		b.payload(fpga.RegFDRI, binary.BigEndian.Uint32(image))
+		image = image[4:]
+	}
+	if len(image) > 0 {
+		var tail [4]byte
+		copy(tail[:], image)
+		b.payload(fpga.RegFDRI, binary.BigEndian.Uint32(tail[:]))
 	}
 }
 
@@ -65,32 +91,11 @@ func (b *Builder) WriteCRC() {
 }
 
 // Words reports the number of words assembled so far.
-func (b *Builder) Words() int { return len(b.words) }
+func (b *Builder) Words() int { return len(b.buf) / 4 }
 
-// Bytes serialises the bitstream big-endian, as the byte-wide port
-// consumes it.
-func (b *Builder) Bytes() []byte {
-	out := make([]byte, 4*len(b.words))
-	for i, w := range b.words {
-		binary.BigEndian.PutUint32(out[4*i:], w)
-	}
-	return out
-}
-
-// FrameWords converts a frame image to big-endian FDRI payload words,
-// zero-padding the final word if the frame size is not word-aligned.
-func FrameWords(g fpga.Geometry, image []byte) ([]uint32, error) {
-	if len(image) != g.FrameBytes() {
-		return nil, fmt.Errorf("bitstream: frame image is %d bytes, geometry wants %d", len(image), g.FrameBytes())
-	}
-	words := make([]uint32, g.FrameWords())
-	for i := range words {
-		var buf [4]byte
-		copy(buf[:], image[4*i:])
-		words[i] = binary.BigEndian.Uint32(buf[:])
-	}
-	return words, nil
-}
+// Bytes returns the bitstream as the byte-wide port consumes it. The
+// slice is the builder's own buffer, valid until the next append.
+func (b *Builder) Bytes() []byte { return b.buf }
 
 // maxFDRIWords is the largest payload a single type-1 packet can carry
 // (11-bit word count).
@@ -107,24 +112,27 @@ func Assemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("bitstream: empty frame set")
 	}
-	if g.FrameWords() > maxFDRIWords {
-		return nil, fmt.Errorf("bitstream: frame of %d words exceeds the %d-word FDRI packet limit", g.FrameWords(), maxFDRIWords)
+	fw := g.FrameWords()
+	if fw > maxFDRIWords {
+		return nil, fmt.Errorf("bitstream: frame of %d words exceeds the %d-word FDRI packet limit", fw, maxFDRIWords)
 	}
-	b := NewBuilder()
+	// Dummy and sync words; seven one-word register writes (RCRC,
+	// IDCODE, FLR, WCFG, LFRM, CRC, DESYNC) of two words each; per frame,
+	// a FAR write (2 words) and an FDRI write (1+fw words).
+	b := newBuilder(2 + 7*2 + len(frames)*(3+fw))
 	b.Command(fpga.CmdRCRC)
 	b.WriteReg(fpga.RegIDCODE, idcode)
-	b.WriteReg(fpga.RegFLR, uint32(g.FrameWords()))
+	b.WriteReg(fpga.RegFLR, uint32(fw))
 	b.Command(fpga.CmdWCFG)
 	for i, fi := range frames {
 		if fi < 0 || fi >= g.NumFrames() {
 			return nil, fmt.Errorf("bitstream: frame %d out of range (device has %d)", fi, g.NumFrames())
 		}
-		words, err := FrameWords(g, images[i])
-		if err != nil {
-			return nil, err
+		if len(images[i]) != g.FrameBytes() {
+			return nil, fmt.Errorf("bitstream: frame image is %d bytes, geometry wants %d", len(images[i]), g.FrameBytes())
 		}
 		b.WriteReg(fpga.RegFAR, uint32(fi))
-		b.WriteReg(fpga.RegFDRI, words...)
+		b.writeFrame(fw, images[i])
 	}
 	b.Command(fpga.CmdLFRM)
 	b.WriteCRC()
@@ -144,7 +152,7 @@ func AssembleDiff(g fpga.Geometry, idcode uint32, frames []int, images, current 
 	var dFrames []int
 	var dImages [][]byte
 	for i := range frames {
-		if !equalBytes(images[i], current[i]) {
+		if !bytes.Equal(images[i], current[i]) {
 			dFrames = append(dFrames, frames[i])
 			dImages = append(dImages, images[i])
 		}
@@ -154,18 +162,6 @@ func AssembleDiff(g fpga.Geometry, idcode uint32, frames []int, images, current 
 	}
 	bs, err := Assemble(g, idcode, dFrames, dImages)
 	return bs, len(dFrames), err
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Netlist is a pseudo-netlist: the resource demand and statistical shape
@@ -300,11 +296,4 @@ func synthFrame(g fpga.Geometry, n Netlist, idx, total, use int, baseLUT []uint1
 		Serial: n.Serial,
 	})
 	return img
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

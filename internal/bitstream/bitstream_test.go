@@ -1,6 +1,9 @@
 package bitstream
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
@@ -249,18 +252,107 @@ func TestBuilderCRCTracksPort(t *testing.T) {
 }
 
 func TestFrameWordsPadding(t *testing.T) {
-	g := fpga.Geometry{Rows: 3, Cols: 2} // 63 bytes per frame: padded final word
+	// 63 bytes per frame: the final FDRI word carries one zero pad byte,
+	// which the port drops again.
+	g := fpga.Geometry{Rows: 3, Cols: 2}
+	reg := fpga.NewRegistry()
+	if err := reg.Register(nopCore(9)); err != nil {
+		t.Fatal(err)
+	}
+	fab := fpga.NewFabric(g, reg)
 	img := make([]byte, g.FrameBytes())
+	for i := range img {
+		img[i] = byte(3*i + 1)
+	}
 	img[len(img)-1] = 0xEE
-	words, err := FrameWords(g, img)
+	bs, err := Assemble(g, fab.IDCode(), []int{1}, [][]byte{img})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(words) != g.FrameWords() {
-		t.Fatalf("words = %d", len(words))
+	if want := 4 * (2 + 7*2 + 3 + g.FrameWords()); len(bs) != want {
+		t.Fatalf("stream is %d bytes, want %d", len(bs), want)
 	}
-	if _, err := FrameWords(g, make([]byte, 10)); err == nil {
+	if _, err := fab.Port().Write(bs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fab.ReadFrame(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(img) {
+		t.Error("padded frame did not round-trip through the port")
+	}
+	if _, err := Assemble(g, fab.IDCode(), []int{0}, [][]byte{make([]byte, 10)}); err == nil {
 		t.Error("short image accepted")
+	}
+}
+
+// refAssemble is the word-by-word assembler the byte builder replaced:
+// a []uint32 of words, CRC over a 5-byte [reg, BE(word)] message per
+// payload word, frames split into zero-padded words, serialised at the
+// end. Assemble must produce exactly its bytes.
+func refAssemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) []byte {
+	var words []uint32
+	var crc uint32
+	write := func(reg int, vals ...uint32) {
+		words = append(words, fpga.MakeType1(fpga.OpWrite, reg, len(vals)))
+		for _, v := range vals {
+			if reg != fpga.RegCRC {
+				var m [5]byte
+				m[0] = byte(reg)
+				binary.BigEndian.PutUint32(m[1:], v)
+				crc = crc32.Update(crc, crc32.IEEETable, m[:])
+			}
+			words = append(words, v)
+		}
+	}
+	words = append(words, fpga.DummyWord, fpga.SyncWord)
+	write(fpga.RegCMD, fpga.CmdRCRC)
+	crc = 0
+	write(fpga.RegIDCODE, idcode)
+	write(fpga.RegFLR, uint32(g.FrameWords()))
+	write(fpga.RegCMD, fpga.CmdWCFG)
+	for i, fi := range frames {
+		fw := make([]uint32, g.FrameWords())
+		for k := range fw {
+			var buf [4]byte
+			copy(buf[:], images[i][4*k:])
+			fw[k] = binary.BigEndian.Uint32(buf[:])
+		}
+		write(fpga.RegFAR, uint32(fi))
+		write(fpga.RegFDRI, fw...)
+	}
+	write(fpga.RegCMD, fpga.CmdLFRM)
+	write(fpga.RegCRC, crc)
+	write(fpga.RegCMD, fpga.CmdDESYNC)
+	out := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.BigEndian.PutUint32(out[4*i:], w)
+	}
+	return out
+}
+
+func TestAssembleMatchesWordReference(t *testing.T) {
+	for _, g := range []fpga.Geometry{testGeom, {Rows: 3, Cols: 9}, {Rows: 5, Cols: 12}} {
+		images, err := Synthesize(g, Netlist{FnID: 9, Serial: 2, LUTs: 4 * g.LUTsPerFrame(), Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		contiguous := make([]int, len(images))
+		scattered := make([]int, len(images))
+		for i := range images {
+			contiguous[i] = 1 + i
+			scattered[i] = (g.NumFrames() - 1 - 2*i + g.NumFrames()) % g.NumFrames()
+		}
+		for _, frames := range [][]int{contiguous, scattered} {
+			got, err := Assemble(g, fpga.DefaultIDCode, frames, images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refAssemble(g, fpga.DefaultIDCode, frames, images); !bytes.Equal(got, want) {
+				t.Errorf("geometry %v frames %v: stream differs from the word-by-word reference", g, frames)
+			}
+		}
 	}
 }
 

@@ -55,16 +55,16 @@ func (c frameDiffCodec) NewReader(comp []byte) (io.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &frameDiffReader{inner: inner, frameBytes: fb, hist: make([]byte, 0, fb)}, nil
+	return &frameDiffReader{inner: inner, hist: make([]byte, fb)}, nil
 }
 
 // frameDiffReader integrates the XOR prediction incrementally, keeping one
 // frame of history.
 type frameDiffReader struct {
-	inner      io.Reader
-	frameBytes int
-	hist       []byte // last frameBytes of produced output (ring as slice)
-	produced   int
+	inner  io.Reader
+	hist   []byte // the last frame of output, as a ring
+	pos    int    // ring index of the byte one frame before the next
+	primed bool   // a whole frame has been produced; XOR from now on
 }
 
 // InputConsumed reports the frame-size header plus whatever the inner
@@ -78,18 +78,21 @@ func (r *frameDiffReader) InputConsumed() int {
 
 func (r *frameDiffReader) Read(p []byte) (int, error) {
 	n, err := r.inner.Read(p)
-	for i := 0; i < n; i++ {
-		b := p[i]
-		if r.produced >= r.frameBytes {
-			b ^= r.hist[r.produced%r.frameBytes]
-		}
-		p[i] = b
-		if len(r.hist) < r.frameBytes {
-			r.hist = append(r.hist, b)
+	// Walk the output in runs that end at the ring's wrap point.
+	for out := p[:n]; len(out) > 0; {
+		prev := r.hist[r.pos:min(len(r.hist), r.pos+len(out))]
+		if r.primed {
+			for i := range prev {
+				out[i] ^= prev[i]
+				prev[i] = out[i]
+			}
 		} else {
-			r.hist[r.produced%r.frameBytes] = b
+			copy(prev, out) // the first frame passes through unchanged
 		}
-		r.produced++
+		out = out[len(prev):]
+		if r.pos += len(prev); r.pos == len(r.hist) {
+			r.pos, r.primed = 0, true
+		}
 	}
 	return n, err
 }

@@ -92,11 +92,12 @@ func (r *rleReader) Read(p []byte) (int, error) {
 			continue
 		}
 		if r.repN > 0 {
-			for n < len(p) && r.repN > 0 {
-				p[n] = r.repB
-				n++
-				r.repN--
+			fill := p[n:min(len(p), n+r.repN)]
+			for i := range fill {
+				fill[i] = r.repB
 			}
+			n += len(fill)
+			r.repN -= len(fill)
 			continue
 		}
 		if r.off >= len(r.comp) {

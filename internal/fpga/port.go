@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Bitstream wire format. Words travel big-endian through the byte-wide
@@ -138,9 +139,8 @@ func (p *ConfigPort) Reset() {
 	p.wcfg = false
 	p.idChecked = false
 	p.frameOff = 0
-	p.frame = nil
 	p.crc = 0
-	p.touched = nil
+	p.touched = p.touched[:0] // keep the capacity across loads
 	p.fault = nil
 }
 
@@ -148,24 +148,33 @@ func (p *ConfigPort) Reset() {
 // data (charging one configuration cycle per byte, as a real byte-wide
 // port would clock them in) and reports the first fault encountered, which
 // is also kept sticky: a faulted port ignores further data until Reset.
+// Whole words are decoded straight from data; only a word split across
+// calls goes through the staging buffer.
 func (p *ConfigPort) Write(data []byte) (int, error) {
-	p.cycles += uint64(len(data))
+	n := len(data)
+	p.cycles += uint64(n)
 	if p.fault != nil {
-		return len(data), p.fault
+		return n, p.fault
 	}
-	for _, b := range data {
-		p.wordBuf[p.wordLen] = b
-		p.wordLen++
-		if p.wordLen < 4 {
-			continue
+	for len(data) > 0 {
+		var w uint32
+		if p.wordLen == 0 && len(data) >= 4 {
+			w, data = binary.BigEndian.Uint32(data), data[4:]
+		} else {
+			k := copy(p.wordBuf[p.wordLen:], data)
+			p.wordLen, data = p.wordLen+k, data[k:]
+			if p.wordLen < 4 {
+				break
+			}
+			p.wordLen = 0
+			w = binary.BigEndian.Uint32(p.wordBuf[:])
 		}
-		p.wordLen = 0
-		if err := p.word(binary.BigEndian.Uint32(p.wordBuf[:])); err != nil {
+		if err := p.word(w); err != nil {
 			p.fail(err)
-			return len(data), err
+			return n, err
 		}
 	}
-	return len(data), nil
+	return n, nil
 }
 
 // WriteWord feeds one 32-bit word directly (used by tests).
@@ -187,7 +196,7 @@ func (p *ConfigPort) fail(err error) {
 			f[sigOffCRC] ^= 0xFF // invalidate the signature CRC
 		}
 	}
-	p.touched = nil
+	p.touched = p.touched[:0]
 }
 
 func (p *ConfigPort) word(w uint32) error {
@@ -242,7 +251,7 @@ func (p *ConfigPort) dataWord(w uint32) error {
 		p.state = stHeader
 	}
 	if p.dataReg != RegCRC {
-		p.crcAccum(p.dataReg, w)
+		p.crc = CRCUpdate(p.crc, p.dataReg, w)
 	}
 	switch p.dataReg {
 	case RegCRC:
@@ -250,7 +259,7 @@ func (p *ConfigPort) dataWord(w uint32) error {
 			return fmt.Errorf("%w: got %08x, want %08x", ErrCRC, w, p.crc)
 		}
 		p.crc = 0
-		p.touched = nil
+		p.touched = p.touched[:0]
 		return nil
 	case RegFAR:
 		if int(w) >= p.fab.geom.NumFrames() {
@@ -295,7 +304,7 @@ func (p *ConfigPort) command(w uint32) error {
 		return nil
 	case CmdRCRC:
 		p.crc = 0
-		p.touched = nil
+		p.touched = p.touched[:0]
 		return nil
 	case CmdDESYNC:
 		if p.frameOff != 0 {
@@ -316,24 +325,18 @@ func (p *ConfigPort) frameDataWord(w uint32) error {
 	if !p.idChecked {
 		return ErrNoIDCheck
 	}
+	// The staging buffer holds whole words; the pad bytes of a frame's
+	// final word land past FrameBytes and are dropped at commit.
 	if p.frame == nil {
-		p.frame = make([]byte, p.fab.geom.FrameBytes())
+		p.frame = make([]byte, 4*p.fab.geom.FrameWords())
 	}
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], w)
-	fb := p.fab.geom.FrameBytes()
-	for _, b := range buf {
-		if p.frameOff < fb {
-			p.frame[p.frameOff] = b
-			p.frameOff++
-		}
-		// Bytes beyond FrameBytes within the final padded word are dropped.
-	}
-	if p.frameOff == fb {
+	binary.BigEndian.PutUint32(p.frame[p.frameOff:], w)
+	p.frameOff += 4
+	if fb := p.fab.geom.FrameBytes(); p.frameOff >= fb {
 		if p.far >= p.fab.geom.NumFrames() {
 			return fmt.Errorf("%w: auto-incremented past device end", ErrFrameAddress)
 		}
-		copy(p.fab.cfg[p.far], p.frame)
+		copy(p.fab.cfg[p.far], p.frame[:fb])
 		p.touched = append(p.touched, p.far)
 		p.fab.generation[p.far]++
 		p.FramesWritten++
@@ -343,20 +346,27 @@ func (p *ConfigPort) frameDataWord(w uint32) error {
 	return nil
 }
 
-// crcAccum folds a register write into the running CRC. The exact
-// polynomial matters less than that port and assembler agree; both use
-// IEEE CRC-32 over the register id byte followed by the big-endian word.
-func (p *ConfigPort) crcAccum(reg int, w uint32) {
-	var b [5]byte
-	b[0] = byte(reg)
-	binary.BigEndian.PutUint32(b[1:], w)
-	p.crc = crc32.Update(p.crc, crc32.IEEETable, b[:])
-}
+// crcTables are the slicing-by-4 tables for IEEE CRC-32: crcTables[0] is
+// crc32.IEEETable and crcTables[k][i] advances crcTables[k-1][i] by one
+// more zero byte, so four table lookups fold a whole word.
+var crcTables = func() (t [4][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for k := 1; k < 4; k++ {
+		for i, c := range t[k-1] {
+			t[k][i] = t[0][byte(c)] ^ c>>8
+		}
+	}
+	return t
+}()
 
-// CRCUpdate mirrors the port's CRC accumulation for bitstream assemblers.
+// CRCUpdate folds a register write into a running configuration CRC. The
+// exact polynomial matters less than that port and assembler agree; both
+// use IEEE CRC-32 over the register id byte followed by the big-endian
+// word, computed here without building that 5-byte message.
 func CRCUpdate(crc uint32, reg int, w uint32) uint32 {
-	var b [5]byte
-	b[0] = byte(reg)
-	binary.BigEndian.PutUint32(b[1:], w)
-	return crc32.Update(crc, crc32.IEEETable, b[:])
+	c := ^crc
+	// One table step for the register byte, then the word's big-endian
+	// bytes, loaded little-endian, through the four slicing tables.
+	c = crcTables[0][byte(c)^byte(reg)] ^ c>>8 ^ bits.ReverseBytes32(w)
+	return ^(crcTables[3][byte(c)] ^ crcTables[2][byte(c>>8)] ^ crcTables[1][byte(c>>16)] ^ crcTables[0][c>>24])
 }

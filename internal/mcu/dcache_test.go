@@ -254,3 +254,52 @@ func TestDecodeCacheManySerials(t *testing.T) {
 		t.Errorf("found %d of the 4 newest entries", found)
 	}
 }
+
+// TestDecodeCacheImagesOutliveLaterDecodes guards the buffer reuse in
+// configure: images the decode cache holds must never share memory with
+// a later load's decode buffer.
+func TestDecodeCacheImagesOutliveLaterDecodes(t *testing.T) {
+	cfg := defaultCfg()
+	cfg.DecodeCacheBytes = 1 << 20
+	c := newController(t, cfg)
+	a, b := algos.AES128(), algos.CRC32()
+	install(t, c, a, "framediff")
+	install(t, c, b, "framediff")
+	input := []byte("agile algorithm-on-demand coproc")
+	want, _ := a.Exec(input)
+
+	if _, _, err := c.Execute(a.ID(), input); err != nil {
+		t.Fatal(err)
+	}
+	framesA := c.FramesOf(a.ID())
+	var reference [][]byte
+	for _, fi := range framesA {
+		fr, _ := c.Fabric().ReadFrame(fi)
+		reference = append(reference, fr)
+	}
+	c.Evict(a.ID())
+	if _, _, err := c.Execute(b.ID(), input); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.FramesOf(b.ID())) > len(framesA) {
+		t.Fatal("second function is larger than the first — test is vacuous")
+	}
+	c.Evict(b.ID())
+
+	out, _, err := c.Execute(a.ID(), input)
+	if err != nil {
+		t.Fatalf("reload from the decode cache: %v", err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatal("reload from the decode cache computed a wrong output")
+	}
+	if c.Stats().DecompCacheHits != 1 {
+		t.Fatalf("DecompCacheHits = %d, want 1", c.Stats().DecompCacheHits)
+	}
+	for i, fi := range c.FramesOf(a.ID()) {
+		fr, _ := c.Fabric().ReadFrame(fi)
+		if !bytes.Equal(fr, reference[i]) {
+			t.Errorf("frame %d of the cached reload differs from the decoded load", i)
+		}
+	}
+}

@@ -124,6 +124,12 @@ type Controller struct {
 	// dcache, when non-nil, caches decoded frame images by record serial.
 	dcache *decodeCache
 
+	// configure's buffers, kept across loads; loadRaw only while dcache
+	// is nil, as nothing else retains the decoded images.
+	window  []byte
+	wins    []winMark
+	loadRaw []byte
+
 	// traceLog, when set, receives structured events (nil = disabled).
 	traceLog *trace.Log
 	// card is the identity stamped onto trace events — 0 for a
@@ -397,6 +403,7 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		fabDom:  sim.NewDomain("fabric", FabricHz),
 		metrics: cfg.Metrics,
 		fnNames: make(map[uint16]string),
+		window:  make([]byte, cfg.WindowBytes),
 	}
 	if cfg.DecodeCacheBytes > 0 {
 		c.dcache = newDecodeCache(cfg.DecodeCacheBytes)

@@ -348,19 +348,29 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 	}
 	consumer, _ := reader.(compress.InputReporter)
 
-	// Window-by-window decompression into per-frame images, recording per
-	// window the cumulative output and the cumulative ROM bytes the
-	// decoder pulled to produce it (the pipeline's ROM-stage costing).
+	// Window-by-window decompression into one buffer of frame images,
+	// recording per window the cumulative output and the cumulative ROM
+	// bytes the decoder pulled to produce it (the pipeline's ROM-stage
+	// costing). Unless the decode cache keeps the images, the buffer is
+	// reused by the next load.
 	frameBytes := c.cfg.Geometry.FrameBytes()
-	images := make([][]byte, 0, len(frames))
-	frameBuf := make([]byte, 0, frameBytes)
-	window := make([]byte, c.cfg.WindowBytes)
-	type winMark struct{ out, consumed int } // both cumulative
-	var wins []winMark
+	need := len(frames) * frameBytes
+	raw := c.loadRaw
+	if c.dcache != nil || cap(raw) < need {
+		raw = make([]byte, need)
+		if c.dcache == nil {
+			c.loadRaw = raw
+		}
+	}
+	raw = raw[:need]
+	wins := c.wins[:0]
 	rawTotal := 0
 	for {
-		n, rerr := reader.Read(window)
+		n, rerr := reader.Read(c.window)
 		if n > 0 {
+			if rawTotal < need {
+				copy(raw[rawTotal:], c.window[:n])
+			}
 			rawTotal += n
 			consumed := len(blob)
 			if consumer != nil {
@@ -369,19 +379,6 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 				}
 			}
 			wins = append(wins, winMark{out: rawTotal, consumed: consumed})
-			chunk := window[:n]
-			for len(chunk) > 0 {
-				take := frameBytes - len(frameBuf)
-				if take > len(chunk) {
-					take = len(chunk)
-				}
-				frameBuf = append(frameBuf, chunk[:take]...)
-				chunk = chunk[take:]
-				if len(frameBuf) == frameBytes {
-					images = append(images, append([]byte(nil), frameBuf...))
-					frameBuf = frameBuf[:0]
-				}
-			}
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
@@ -390,11 +387,16 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			return fmt.Errorf("mcu: decompressing %q: %w", rec.Name, rerr)
 		}
 	}
-	if len(frameBuf) != 0 {
-		return fmt.Errorf("mcu: bitstream of %q is not frame-aligned (%d trailing bytes)", rec.Name, len(frameBuf))
+	c.wins = wins
+	if tail := rawTotal % frameBytes; tail != 0 {
+		return fmt.Errorf("mcu: bitstream of %q is not frame-aligned (%d trailing bytes)", rec.Name, tail)
 	}
-	if len(images) != len(frames) {
-		return fmt.Errorf("mcu: bitstream of %q holds %d frames, record says %d", rec.Name, len(images), len(frames))
+	if rawTotal != need {
+		return fmt.Errorf("mcu: bitstream of %q holds %d frames, record says %d", rec.Name, rawTotal/frameBytes, len(frames))
+	}
+	images := make([][]byte, len(frames))
+	for i := range images {
+		images[i] = raw[i*frameBytes : (i+1)*frameBytes : (i+1)*frameBytes]
 	}
 
 	if c.dcache != nil {
@@ -455,6 +457,10 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 	c.emit(trace.KindConfigure, rec.FnID, len(frames), rawTotal, codec.Name())
 	return nil
 }
+
+// winMark records, after one decompression window, the cumulative output
+// bytes and the cumulative ROM bytes the decoder had consumed.
+type winMark struct{ out, consumed int }
 
 // notePipeline folds one pipelined load into the stats and telemetry:
 // windows fed, critical-path bubbles, overlap savings, and the peak

@@ -10,6 +10,7 @@ package mcu
 // resident footprint and why E14 sweeps the scrub interval.
 
 import (
+	"bytes"
 	"fmt"
 
 	"agilefpga/internal/bitstream"
@@ -59,7 +60,7 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 			// Readback: one byte per configuration-clock cycle.
 			br.Add(sim.PhaseConfigure, c.cfgDom.Advance(uint64(len(cur))))
 			rep.FramesChecked++
-			if !framesEqual(cur, golden[i]) {
+			if !bytes.Equal(cur, golden[i]) {
 				dirtyFrames = append(dirtyFrames, fi)
 				dirtyImages = append(dirtyImages, golden[i])
 			}
@@ -127,18 +128,6 @@ func (c *Controller) goldenImages(rec memory.Record, br *sim.Breakdown) ([][]byt
 		images = append(images, raw[off:off+fb])
 	}
 	return images, nil
-}
-
-func framesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FramesOf reports the frames a resident function occupies (nil if not

@@ -32,7 +32,7 @@ func (r *ROM) Image() []byte {
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(r.data)))
 	binary.LittleEndian.PutUint32(out[12:], uint32(r.blobTop))
 	binary.LittleEndian.PutUint32(out[16:], uint32(r.recBot))
-	binary.LittleEndian.PutUint32(out[20:], uint32(r.count))
+	binary.LittleEndian.PutUint32(out[20:], uint32(len(r.recs)))
 	copy(out[romHeaderBytes:], r.data)
 	return out
 }
@@ -66,12 +66,12 @@ func LoadROM(image []byte) (*ROM, error) {
 		data:    append([]byte(nil), image[romHeaderBytes:]...),
 		blobTop: blobTop,
 		recBot:  recBot,
-		count:   count,
+		recs:    make([]Record, 0, count),
 	}
-	// Validate every record: CRC, blob bounds, unique ids.
+	// Decode and validate every record: CRC, blob bounds, unique ids.
 	seen := make(map[uint16]bool, count)
 	for i := 0; i < count; i++ {
-		rec, err := rom.Record(i)
+		rec, err := decodeRecord(rom.data[capacity-(i+1)*RecordBytes:])
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrBadImage, i, err)
 		}
@@ -83,6 +83,7 @@ func LoadROM(image []byte) (*ROM, error) {
 			return nil, fmt.Errorf("%w: duplicate function id %d", ErrBadImage, rec.FnID)
 		}
 		seen[rec.FnID] = true
+		rom.recs = append(rom.recs, rec)
 	}
 	return rom, nil
 }

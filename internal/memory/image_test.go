@@ -103,3 +103,44 @@ func TestLoadROMEmpty(t *testing.T) {
 		t.Error("empty ROM did not round trip")
 	}
 }
+
+func TestRecordTableMatchesRawBytes(t *testing.T) {
+	rom, err := NewROM(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"sha256", "a", "sixteen-byte-nam"} {
+		rec := Record{Name: name, FnID: uint16(40 + i), CodecID: byte(i), RawSize: uint32(1000 * i),
+			InBus: uint16(4 << i), OutBus: 8, FrameCount: uint16(i + 1), Serial: uint16(7 * i)}
+		if err := rom.Install(rec, []byte{byte(i), 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, err := LoadROM(rom.Image())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*ROM{rom, loaded} {
+		for i := 0; i < r.NumRecords(); i++ {
+			want, err := decodeRecord(r.data[len(r.data)-(i+1)*RecordBytes:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.Record(i); err != nil || got != want {
+				t.Errorf("Record(%d) = %+v, %v; raw bytes decode to %+v", i, got, err, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = r.FindByID(42) }); n != 0 {
+			t.Errorf("FindByID allocates %v times per call", n)
+		}
+	}
+	// Any flipped byte of any record makes the image unloadable.
+	img := rom.Image()
+	for off := len(img) - rom.NumRecords()*RecordBytes; off < len(img); off++ {
+		img[off] ^= 0x5A
+		if _, err := LoadROM(img); !errors.Is(err, ErrBadImage) {
+			t.Errorf("record byte %d flipped: err = %v, want ErrBadImage", off, err)
+		}
+		img[off] ^= 0x5A
+	}
+}

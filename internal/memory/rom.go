@@ -122,7 +122,10 @@ type ROM struct {
 	data    []byte
 	blobTop int // first free byte above the bitstream region (grows up)
 	recBot  int // lowest byte of the record table (grows down)
-	count   int // number of records
+	// recs holds the record table decoded, in installation order. Install
+	// and LoadROM, the only writers of the table bytes, decode (and
+	// CRC-check) each record once as they write it.
+	recs []Record
 }
 
 // NewROM returns a ROM of the given capacity.
@@ -140,7 +143,7 @@ func (r *ROM) Capacity() int { return len(r.data) }
 func (r *ROM) FreeBytes() int { return r.recBot - r.blobTop }
 
 // NumRecords reports how many function records the table holds.
-func (r *ROM) NumRecords() int { return r.count }
+func (r *ROM) NumRecords() int { return len(r.recs) }
 
 // Install appends a compressed bitstream to the blob region and its
 // record to the table. The Start field of rec is filled in by the ROM.
@@ -163,42 +166,33 @@ func (r *ROM) Install(rec Record, blob []byte) error {
 	if err := rec.encode(r.data[slot:]); err != nil {
 		return err
 	}
+	stored, err := decodeRecord(r.data[slot:])
+	if err != nil {
+		return err
+	}
 	copy(r.data[r.blobTop:], blob)
 	r.blobTop += len(blob)
 	r.recBot = slot
-	r.count++
+	r.recs = append(r.recs, stored)
 	return nil
 }
 
 // Record returns the i-th record (installation order).
 func (r *ROM) Record(i int) (Record, error) {
-	if i < 0 || i >= r.count {
-		return Record{}, fmt.Errorf("%w: index %d of %d", ErrNoRecord, i, r.count)
+	if i < 0 || i >= len(r.recs) {
+		return Record{}, fmt.Errorf("%w: index %d of %d", ErrNoRecord, i, len(r.recs))
 	}
-	slot := len(r.data) - (i+1)*RecordBytes
-	return decodeRecord(r.data[slot:])
+	return r.recs[i], nil
 }
 
 // Records returns all records in installation order.
 func (r *ROM) Records() ([]Record, error) {
-	out := make([]Record, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	return append([]Record(nil), r.recs...), nil
 }
 
 // FindByID locates the record of function fnID.
 func (r *ROM) FindByID(fnID uint16) (Record, error) {
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return Record{}, err
-		}
+	for _, rec := range r.recs {
 		if rec.FnID == fnID {
 			return rec, nil
 		}
@@ -208,11 +202,7 @@ func (r *ROM) FindByID(fnID uint16) (Record, error) {
 
 // FindByName locates the record of the named function.
 func (r *ROM) FindByName(name string) (Record, error) {
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return Record{}, err
-		}
+	for _, rec := range r.recs {
 		if rec.Name == name {
 			return rec, nil
 		}

@@ -262,10 +262,12 @@ func (s *Server) handleConn(c net.Conn) {
 func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*wire.Response), finish func(), remote string) {
 	id, fn := req.ID(), req.Fn()
 	s.mu.Lock()
+	// Every answer frees its id before it is written: a client may reuse
+	// the id as soon as it reads the answer.
 	if s.draining {
 		s.mu.Unlock()
-		s.refuse(id, fn, write, wire.StatusUnavailable, DrainMessage)
 		finish()
+		s.refuse(id, fn, write, wire.StatusUnavailable, DrainMessage)
 		fr.Release()
 		return
 	}
@@ -273,9 +275,9 @@ func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 	case s.sem <- struct{}{}:
 	default:
 		s.mu.Unlock()
+		finish()
 		s.refuse(id, fn, write, wire.StatusResourceExhausted,
 			fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
-		finish()
 		fr.Release()
 		return
 	}
@@ -320,14 +322,14 @@ func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 			s.hookAdmitted(&req.Plain)
 		}
 		status, card, payload := s.execute(ctx, req, ref)
-		write(&wire.Response{ID: id, Status: status, Card: card, Payload: payload})
-		// The response is on the wire: the id may be reused and the
-		// request's read buffer (aliased by its payload) recycled.
 		finish()
-		fr.Release()
 		s.reqMu.Lock()
 		delete(s.reqs, entry)
 		s.reqMu.Unlock()
+		write(&wire.Response{ID: id, Status: status, Card: card, Payload: payload})
+		// The response is on the wire: the request's read buffer
+		// (aliased by its payload) may be recycled.
+		fr.Release()
 		s.opts.Tracer.End(ref, statusLabel(status))
 		s.observeTraced(id, fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
 	}()
